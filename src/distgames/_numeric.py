@@ -4,7 +4,9 @@ Values are plain Python numbers.  int and Fraction are the exact backend;
 float is the approximate one.  An operation is exact when every input is
 exact, and comparisons then use true equality.  As soon as a float is
 involved, comparisons fall back to an absolute tolerance (default 1e-9,
-overridable per call).
+overridable per call).  Structural checks (B = -A, weights summing to 1)
+share one closeness rule, close_to: true equality for exact values,
+MASS_SUM_TOL otherwise.
 """
 
 from __future__ import annotations
@@ -43,10 +45,17 @@ def cmp(a: Number, b: Number, tol: float | None = None) -> int:
     return -1 if d < 0 else 1
 
 
-def close_to(a: Number, b: Number, tol: float) -> bool:
+def close_to(a: Number, b: Number, tol: float = MASS_SUM_TOL) -> bool:
+    """Equality for exact values, |a - b| <= tol as soon as a float is in."""
     if is_exact(a) and is_exact(b):
         return a == b
     return abs(float(a) - float(b)) <= tol
+
+
+def sums_to_one(ws: Sequence[Number]) -> bool:
+    """Weights sum to 1: exactly for an exact sum, within MASS_SUM_TOL
+    otherwise."""
+    return close_to(sum(ws), 1)
 
 
 def parse_number(obj) -> Number:
@@ -81,4 +90,10 @@ def format_number(x: Number):
         if x.denominator == 1:
             return int(x)
         return f"{x.numerator}/{x.denominator}"
-    return float(f"{float(x):.17g}")
+    return float(format_float(x))
+
+
+def format_float(x: Number) -> str:
+    """CSV cell of a number as a float with 17 significant digits, enough
+    to round-trip a double."""
+    return f"{float(x):.17g}"

@@ -18,15 +18,15 @@ import sys
 from typing import Optional, Sequence
 
 from . import errors
-from ._numeric import format_number, parse_number
+from ._numeric import format_float, format_number, parse_number
 from .construct import (alternating_moment_pair, geometric_tail_family,
                         shift_construction, verify_alternation_certificate,
                         verify_cdf_alternation)
-from .dist import (OrderResult, compare_expectation, compare_usual_stochastic,
+from .dist import (compare_expectation, compare_usual_stochastic,
                    distribution_from_json, distribution_to_json, tail_compare,
                    tweakable_compare)
 from .game_core import (BimatrixGame, DistributionBimatrixGame,
-                        VectorBimatrixGame, _neg_close, mixed_payoff,
+                        VectorBimatrixGame, mixed_payoff, negates,
                         new_bimatrix, new_distribution_game, new_vector_game,
                         pure_profile, shape)
 from .mc import (estimate_pure_probability, estimate_rlex_probability, mc_csv)
@@ -81,11 +81,7 @@ def parse_game_document(doc):
         else:
             Bm = [[tuple(parse_number(v) for v in cell) for cell in row]
                   for row in B]
-            if zero_sum and not all(
-                _neg_close(a, b)
-                for ra, rb in zip(Am, Bm) for ca, cb in zip(ra, rb)
-                for a, b in zip(ca, cb)
-            ):
+            if zero_sum and not negates(Am, Bm):
                 raise errors.NotZeroSum("B is not the negation of A")
         G = new_vector_game(Am, Bm, doc.get("dim"))
     elif gtype == "distribution":
@@ -116,11 +112,7 @@ def game_to_document(G) -> dict:
     elif isinstance(G, VectorBimatrixGame):
         doc["type"] = "vector"
         doc["dim"] = G.dim
-        doc["zero_sum"] = all(
-            _neg_close(a, b)
-            for ra, rb in zip(G.A, G.B) for ca, cb in zip(ra, rb)
-            for a, b in zip(ca, cb)
-        )
+        doc["zero_sum"] = negates(G.A, G.B)
         doc["A"] = [[[format_number(v) for v in cell] for cell in row]
                     for row in G.A]
         doc["B"] = [[[format_number(v) for v in cell] for cell in row]
@@ -182,12 +174,18 @@ def _parse_numbers(text: str, sep: str = ",") -> list:
     return [parse_number(tok.strip()) for tok in text.split(sep) if tok.strip()]
 
 
+def _load_game(args, cls, what: str):
+    """The game in the --input document, which must be of type cls."""
+    G = parse_game_document(_load_json(args.input))
+    if not isinstance(G, cls):
+        raise ValueError(f"{args.command} expects a {what} document")
+    return G
+
+
 # ------------------------------------------------------------- subcommands
 
 def _cmd_solve(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, BimatrixGame):
-        raise ValueError("solve expects a bimatrix document")
+    G = _load_game(args, BimatrixGame, "bimatrix")
     if args.method == "support-enum":
         outcome = support_enumeration(G)
     elif args.method == "pure":
@@ -202,9 +200,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fp(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, BimatrixGame):
-        raise ValueError("fp expects a bimatrix document")
+    G = _load_game(args, BimatrixGame, "bimatrix")
     records = fictitious_play(G, args.rounds, seed=args.seed,
                               record_every=args.record_every)
     n1, n2 = shape(G)
@@ -212,11 +208,8 @@ def _cmd_fp(args) -> int:
         + [f"y_{j+1}" for j in range(n2)] + ["payoff1"]
     out = [",".join(cols)]
     for rec in records:
-        vals = [str(rec.round)] \
-            + [format(float(v), ".17g") for v in rec.x] \
-            + [format(float(v), ".17g") for v in rec.y] \
-            + [format(rec.payoff1, ".17g")]
-        out.append(",".join(vals))
+        cells = rec.x + rec.y + (rec.payoff1,)
+        out.append(",".join([str(rec.round)] + [format_float(v) for v in cells]))
     print("\n".join(out))
     return 0
 
@@ -237,20 +230,13 @@ def _decision_json(decision) -> dict:
     }
 
 
-def _cmd_rlex_decide(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, VectorBimatrixGame):
-        raise ValueError("rlex-decide expects a vector document")
-    decision = decide_rlex_equilibria(G)
-    _print_json(_decision_json(decision))
-    return 2 if decision.status == INDETERMINATE else 0
-
-
-def _cmd_tail_decide(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, DistributionBimatrixGame):
-        raise ValueError("tail-decide expects a distribution document")
-    decision = decide_tail_equilibria(G)
+def _cmd_decide(args) -> int:
+    if args.command == "rlex-decide":
+        decision = decide_rlex_equilibria(
+            _load_game(args, VectorBimatrixGame, "vector"))
+    else:
+        decision = decide_tail_equilibria(
+            _load_game(args, DistributionBimatrixGame, "distribution"))
     _print_json(_decision_json(decision))
     return 2 if decision.status == INDETERMINATE else 0
 
@@ -273,18 +259,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, DistributionBimatrixGame):
-        raise ValueError("segment expects a distribution document")
+    G = _load_game(args, DistributionBimatrixGame, "distribution")
     V = segment_game(G, _parse_numbers(args.partition))
     _print_json(game_to_document(V))
     return 0
 
 
 def _cmd_pareto(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, VectorBimatrixGame):
-        raise ValueError("pareto expects a vector document")
+    G = _load_game(args, VectorBimatrixGame, "vector")
     parts = args.weights.split(";")
     if len(parts) != 2:
         raise ValueError("--weights must be two ;-separated lists")
@@ -296,9 +278,7 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    G = parse_game_document(_load_json(args.input))
-    if not isinstance(G, VectorBimatrixGame):
-        raise ValueError("sweep expects a vector document")
+    G = _load_game(args, VectorBimatrixGame, "vector")
     records = weight_sweep(G, args.samples, args.seed)
     sys.stdout.write(sweep_csv(G, records))
     return 0
@@ -419,15 +399,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--record-every", type=int, default=1)
     sp.set_defaults(func=_cmd_fp)
 
-    sp = sub.add_parser("rlex-decide",
-                        help="lexicographic equilibria of a vector game")
-    sp.add_argument("--input", required=True)
-    sp.set_defaults(func=_cmd_rlex_decide)
-
-    sp = sub.add_parser("tail-decide",
-                        help="tail-order equilibria of a distribution game")
-    sp.add_argument("--input", required=True)
-    sp.set_defaults(func=_cmd_tail_decide)
+    for name, what in (
+            ("rlex-decide", "lexicographic equilibria of a vector game"),
+            ("tail-decide", "tail-order equilibria of a distribution game")):
+        sp = sub.add_parser(name, help=what)
+        sp.add_argument("--input", required=True)
+        sp.set_defaults(func=_cmd_decide)
 
     sp = sub.add_parser("compare", help="order two distributions")
     sp.add_argument("--order", choices=["exp", "st", "tail", "tweak"],

@@ -12,20 +12,10 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import errors
-from ._numeric import (
-    DEFAULT_TOL,
-    MASS_SUM_TOL,
-    Number,
-    all_exact,
-    cmp,
-    format_number,
-    is_exact,
-    parse_number,
-)
+from ._numeric import Number, cmp, format_number, parse_number, sums_to_one
 
 
 class OrderResult(enum.Enum):
@@ -74,7 +64,8 @@ def new_partition(points: Sequence[Number]) -> Partition:
     return Partition(pts)
 
 
-def _as_partition(I) -> Partition:
+def as_partition(I) -> Partition:
+    """I itself when it is a Partition, else new_partition(I)."""
     if isinstance(I, Partition):
         return I
     return new_partition(I)
@@ -122,13 +113,8 @@ def new_distribution(atoms: Sequence[Number], masses: Sequence[Number]) -> Discr
         if not w > 0:
             raise errors.NonPositiveMass(f"mass {w} is not positive")
     ws = [w for _, w in pairs]
-    total = sum(ws)
-    if all_exact(ws):
-        if total != 1:
-            raise errors.MassSumNotOne(f"masses sum to {total}, expected 1")
-    else:
-        if abs(float(total) - 1.0) > MASS_SUM_TOL:
-            raise errors.MassSumNotOne(f"masses sum to {float(total)!r}, expected 1")
+    if not sums_to_one(ws):
+        raise errors.MassSumNotOne(f"masses sum to {sum(ws)}, expected 1")
     return DiscreteDistribution(tuple(a for a, _ in pairs), tuple(ws))
 
 
@@ -154,13 +140,9 @@ def mixture(components: Sequence[tuple]) -> DiscreteDistribution:
     weights = [w for w, _ in components]
     if any(w < 0 for w in weights):
         raise errors.WeightsNotSimplex("mixture weights must be non-negative")
-    total = sum(weights)
-    if all_exact(weights):
-        if total != 1:
-            raise errors.WeightsNotSimplex(f"mixture weights sum to {total}, expected 1")
-    else:
-        if abs(float(total) - 1.0) > MASS_SUM_TOL:
-            raise errors.WeightsNotSimplex(f"mixture weights sum to {float(total)!r}, expected 1")
+    if not sums_to_one(weights):
+        raise errors.WeightsNotSimplex(
+            f"mixture weights sum to {sum(weights)}, expected 1")
     return merge_weighted(components)
 
 
@@ -244,14 +226,16 @@ def rlex_compare(v1: Sequence[Number], v2: Sequence[Number],
     return OrderResult.EQUAL
 
 
+def mass_vector(P: DiscreteDistribution, grid: Sequence[Number]) -> tuple:
+    """Mass of P at each grid point, 0 off its support."""
+    f = dict(zip(P.atoms, P.masses))
+    return tuple(f.get(x, 0) for x in grid)
+
+
 def common_support_mass_vectors(P1: DiscreteDistribution, P2: DiscreteDistribution):
     """Mass vectors of both distributions over the sorted union of atoms."""
     grid = sorted(set(P1.atoms) | set(P2.atoms))
-    f1 = dict(zip(P1.atoms, P1.masses))
-    f2 = dict(zip(P2.atoms, P2.masses))
-    v1 = tuple(f1.get(x, 0) for x in grid)
-    v2 = tuple(f2.get(x, 0) for x in grid)
-    return grid, v1, v2
+    return grid, mass_vector(P1, grid), mass_vector(P2, grid)
 
 
 def tail_compare(P1: DiscreteDistribution, P2: DiscreteDistribution,
@@ -278,7 +262,7 @@ def segment_expectations(P: DiscreteDistribution, I) -> tuple:
     skipped. Component i is the sum of mass * atom over atoms landing in
     segment i.
     """
-    part = _as_partition(I)
+    part = as_partition(I)
     pts = part.points
     m = part.num_segments
     out = [0] * m
@@ -311,7 +295,7 @@ def tweakable_compare(P1: DiscreteDistribution, P2: DiscreteDistribution, I,
     Both supports must lie inside the partition range; unlike
     segment_expectations this is strict, out-of-range atoms raise.
     """
-    part = _as_partition(I)
+    part = as_partition(I)
     lo, hi = part.points[0], part.points[-1]
     for P in (P1, P2):
         if P.atoms[0] < lo or P.atoms[-1] > hi:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import errors
-from ._numeric import MASS_SUM_TOL, all_exact, is_exact
-from .dist import DiscreteDistribution, dirac, merge_weighted
+from ._numeric import close_to, sums_to_one
+from .dist import DiscreteDistribution, dirac, mass_vector, merge_weighted
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,42 @@ def _freeze_matrix(M) -> tuple:
     return rows
 
 
-def _neg_close(a, b) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == -b
-    return abs(float(a) + float(b)) <= MASS_SUM_TOL
+def _freeze_pair(A, B, zero_sum: bool, complement) -> tuple:
+    """Frozen A and B of one shape; a missing B is complement(A), which
+    only a zero-sum game may ask for."""
+    Af = _freeze_matrix(A)
+    if B is None and not zero_sum:
+        raise errors.DimensionMismatch("B is required unless zero_sum")
+    Bf = complement(Af) if B is None else _freeze_matrix(B)
+    if len(Af) != len(Bf) or len(Af[0]) != len(Bf[0]):
+        raise errors.DimensionMismatch("A and B must have the same shape")
+    return Af, Bf
+
+
+def _cell_pairs(A, B):
+    """Matching entries of A and B; vector cells give one pair per
+    coordinate."""
+    for ra, rb in zip(A, B):
+        for ca, cb in zip(ra, rb):
+            if isinstance(ca, tuple):
+                yield from zip(ca, cb)
+            else:
+                yield ca, cb
+
+
+def negates(A, B) -> bool:
+    """B = -A entry by entry under close_to; cells are numbers or vectors."""
+    return all(close_to(a, -b) for a, b in _cell_pairs(A, B))
 
 
 def new_bimatrix(A, B=None, zero_sum: bool = False) -> BimatrixGame:
     """Build a scalar bimatrix game. With zero_sum and no B, B = -A."""
-    Af = _freeze_matrix(A)
-    if zero_sum and B is None:
-        Bf = tuple(tuple(-v for v in row) for row in Af)
-    else:
-        if B is None:
-            raise errors.DimensionMismatch("B is required unless zero_sum")
-        Bf = _freeze_matrix(B)
-    if len(Af) != len(Bf) or len(Af[0]) != len(Bf[0]):
-        raise errors.DimensionMismatch("A and B must have the same shape")
+    Af, Bf = _freeze_pair(A, B, zero_sum,
+                          lambda M: tuple(tuple(-v for v in row) for row in M))
     if zero_sum:
-        for ra, rb in zip(Af, Bf):
-            for a, b in zip(ra, rb):
-                if not _neg_close(a, b):
-                    raise errors.NotZeroSum(f"cell {a} vs {b} violates B = -A")
+        for a, b in _cell_pairs(Af, Bf):
+            if not close_to(a, -b):
+                raise errors.NotZeroSum(f"cell {a} vs {b} violates B = -A")
     return BimatrixGame(Af, Bf, zero_sum)
 
 
@@ -106,21 +120,14 @@ def new_vector_game(A, B, dim: int | None = None) -> VectorBimatrixGame:
 
 
 def new_distribution_game(A, B=None, zero_sum: bool = False) -> DistributionBimatrixGame:
-    """Build a distribution-payoff game. zero_sum shares A cellwise."""
-    Af = _freeze_matrix(A)
-    Bf = Af if (zero_sum and B is None) else _freeze_matrix(B if B is not None else A)
-    if len(Af) != len(Bf) or len(Af[0]) != len(Bf[0]):
-        raise errors.DimensionMismatch("A and B must have the same shape")
-    for M in (Af, Bf):
-        for row in M:
-            for cell in row:
-                if not isinstance(cell, DiscreteDistribution):
-                    raise errors.DimensionMismatch("cells must be distributions")
-    if zero_sum and Af is not Bf:
-        for ra, rb in zip(Af, Bf):
-            for a, b in zip(ra, rb):
-                if a != b:
-                    raise errors.NotZeroSum("zero_sum requires A = B cellwise")
+    """Build a distribution-payoff game. zero_sum shares A cellwise; with
+    zero_sum and no B, B = A."""
+    Af, Bf = _freeze_pair(A, B, zero_sum, lambda M: M)
+    if not all(isinstance(cell, DiscreteDistribution)
+               for M in (Af, Bf) for row in M for cell in row):
+        raise errors.DimensionMismatch("cells must be distributions")
+    if zero_sum and Af != Bf:
+        raise errors.NotZeroSum("zero_sum requires A = B cellwise")
     return DistributionBimatrixGame(Af, Bf, zero_sum)
 
 
@@ -135,12 +142,8 @@ def new_profile(x: Sequence, y: Sequence) -> MixedProfile:
             raise errors.WeightsNotSimplex("empty strategy vector")
         if any(w < 0 for w in v):
             raise errors.WeightsNotSimplex("negative strategy weight")
-        total = sum(v)
-        if all_exact(list(v)):
-            if total != 1:
-                raise errors.WeightsNotSimplex(f"weights sum to {total}")
-        elif abs(float(total) - 1.0) > MASS_SUM_TOL:
-            raise errors.WeightsNotSimplex(f"weights sum to {float(total)!r}")
+        if not sums_to_one(v):
+            raise errors.WeightsNotSimplex(f"weights sum to {sum(v)}")
     return MixedProfile(tuple(x), tuple(y))
 
 
@@ -164,12 +167,7 @@ def projection(G: VectorBimatrixGame, i: int) -> BimatrixGame:
         raise errors.IndexOutOfRange(f"coordinate {i} outside 0..{G.dim - 1}")
     A = tuple(tuple(cell[i] for cell in row) for row in G.A)
     B = tuple(tuple(cell[i] for cell in row) for row in G.B)
-    zs = all(
-        _neg_close(a, b)
-        for ra, rb in zip(A, B)
-        for a, b in zip(ra, rb)
-    )
-    return BimatrixGame(A, B, zs)
+    return BimatrixGame(A, B, negates(A, B))
 
 
 def top_projection(G: VectorBimatrixGame) -> BimatrixGame:
@@ -219,24 +217,50 @@ def to_probability_vector_game(G: DistributionBimatrixGame) -> VectorBimatrixGam
     supp = common_support(G)
     if supp[0] < 1:
         raise errors.SupportBelowOne(f"smallest payoff atom {supp[0]} is below 1")
-
-    def vec(P: DiscreteDistribution) -> tuple:
-        f = dict(zip(P.atoms, P.masses))
-        return tuple(f.get(v, 0) for v in supp)
-
-    A = tuple(tuple(vec(cell) for cell in row) for row in G.A)
+    A = tuple(tuple(mass_vector(cell, supp) for cell in row) for row in G.A)
     if G.zero_sum:
         B = tuple(tuple(tuple(-c for c in v) for v in row) for row in A)
     else:
-        B = tuple(tuple(vec(cell) for cell in row) for row in G.B)
+        B = tuple(tuple(mass_vector(cell, supp) for cell in row) for row in G.B)
     return VectorBimatrixGame(A, B, len(supp))
+
+
+def _weighted_sum(weights: Sequence, items: Sequence, dim: int | None):
+    """Sum of w * item over the nonzero weights; items are numbers
+    (dim None) or dim-vectors, summed coordinatewise."""
+    if dim is None:
+        return sum(w * v for w, v in zip(weights, items) if w != 0)
+    out = [0] * dim
+    for w, v in zip(weights, items):
+        if w != 0:
+            for k in range(dim):
+                out[k] = out[k] + w * v[k]
+    return tuple(out)
+
+
+def pure_payoffs(G, player: int, mix: Sequence) -> list:
+    """Payoff of each pure strategy of `player` against the opponent's
+    mix: numbers for a BimatrixGame, tuples for a VectorBimatrixGame.
+
+    Zero weights are skipped: a 0.0 weight cannot make an exact payoff float.
+    """
+    if player not in (1, 2):
+        raise ValueError("player must be 1 or 2")
+    n1, n2 = shape(G)
+    if len(mix) != (n2 if player == 1 else n1):
+        raise errors.DimensionMismatch(
+            f"mix of length {len(mix)} against a {n1}x{n2} game")
+    dim = G.dim if isinstance(G, VectorBimatrixGame) else None
+    lines = G.A if player == 1 else zip(*G.B)
+    return [_weighted_sum(mix, line, dim) for line in lines]
 
 
 def mixed_payoff(G, p: MixedProfile, player: int):
     """Expected payoff of a mixed profile for one player.
 
-    Scalar games give x^T M y, vector games evaluate coordinatewise,
-    distribution games return the mixture weighted by x_i * y_j.
+    Scalar and vector games weigh the pure payoffs (pure_payoffs) by the
+    player's own mix, vector games coordinatewise; distribution games
+    return the mixture weighted by x_i * y_j.
     """
     n1, n2 = shape(G)
     if len(p.x) != n1 or len(p.y) != n2:
@@ -245,26 +269,11 @@ def mixed_payoff(G, p: MixedProfile, player: int):
         )
     if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
+    own, opp = (p.x, p.y) if player == 1 else (p.y, p.x)
+    if not isinstance(G, DistributionBimatrixGame):
+        dim = G.dim if isinstance(G, VectorBimatrixGame) else None
+        return _weighted_sum(own, pure_payoffs(G, player, opp), dim)
     M = G.A if player == 1 else G.B
-    if isinstance(G, BimatrixGame):
-        return sum(
-            p.x[i] * p.y[j] * M[i][j]
-            for i in range(n1) for j in range(n2)
-            if p.x[i] != 0 and p.y[j] != 0
-        )
-    if isinstance(G, VectorBimatrixGame):
-        out = [0] * G.dim
-        for i in range(n1):
-            if p.x[i] == 0:
-                continue
-            for j in range(n2):
-                if p.y[j] == 0:
-                    continue
-                w = p.x[i] * p.y[j]
-                cell = M[i][j]
-                for k in range(G.dim):
-                    out[k] = out[k] + w * cell[k]
-        return tuple(out)
     components = [
         (p.x[i] * p.y[j], M[i][j])
         for i in range(n1) for j in range(n2)

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import errors
+from ._numeric import format_float
 from .game_core import BimatrixGame, new_bimatrix, new_vector_game, projection
 from .rlex_solve import EQUILIBRIA, INDETERMINATE, decide_rlex_equilibria
 from .solve_real import pure_equilibria
@@ -327,7 +328,7 @@ def _csv_num(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format(v, ".17g")
+        return format_float(v)
     return str(v)
 
 

@@ -12,19 +12,23 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import errors
-from .dist import segment_expectations, _as_partition
+from ._numeric import all_exact, format_float
+from .dist import as_partition, segment_expectations
 from .game_core import (
     BimatrixGame,
     DistributionBimatrixGame,
     MixedProfile,
     VectorBimatrixGame,
     mixed_payoff,
+    negates,
     new_vector_game,
+    pure_payoffs,
     shape,
 )
 from .solve_real import EquilibriumReport, SolveOutcome, support_enumeration
@@ -37,10 +41,6 @@ def new_weight_vector(w: Sequence) -> tuple:
     exact, which keeps scalarization with a unit vector identical to a
     coordinate projection.
     """
-    from fractions import Fraction
-
-    from ._numeric import all_exact
-
     if len(w) == 0:
         raise errors.WeightsNotSimplex("empty weight vector")
     if any(v < 0 for v in w):
@@ -86,7 +86,7 @@ def segment_game(G: DistributionBimatrixGame, I) -> VectorBimatrixGame:
     loss distribution means wanting the loss high, which after the
     shared negation is exactly the sign flip.
     """
-    part = _as_partition(I)
+    part = as_partition(I)
     lo, hi = part.points[0], part.points[-1]
     stray = False
     for M in (G.A, G.B):
@@ -117,8 +117,6 @@ def segment_game(G: DistributionBimatrixGame, I) -> VectorBimatrixGame:
 def scalarize(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> BimatrixGame:
     """Scalar game of weighted coordinate sums, one weight vector per
     player.  Weights are normalized on entry."""
-    from .game_core import _neg_close
-
     u1 = new_weight_vector(w1)
     u2 = new_weight_vector(w2)
     if len(u1) != G.dim or len(u2) != G.dim:
@@ -133,12 +131,7 @@ def scalarize(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> BimatrixGame
         tuple(sum(c * w for c, w in zip(cell, u2)) for cell in row)
         for row in G.B
     )
-    zs = all(
-        _neg_close(a, b)
-        for ra, rb in zip(A, B)
-        for a, b in zip(ra, rb)
-    )
-    return BimatrixGame(A, B, zs)
+    return BimatrixGame(A, B, negates(A, B))
 
 
 def pareto_nash(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> SolveOutcome:
@@ -150,11 +143,9 @@ def pareto_nash(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> SolveOutco
 def verify_pareto_nash(G: VectorBimatrixGame, p: MixedProfile) -> bool:
     """Direct check: no pure deviation may be componentwise >= the
     profile payoff while differing somewhere."""
-    from .rlex_solve import _pure_deviation_vectors
-
-    for player in (1, 2):
+    for player, opp in ((1, p.y), (2, p.x)):
         u = mixed_payoff(G, p, player)
-        for dev in _pure_deviation_vectors(G, p, player):
+        for dev in pure_payoffs(G, player, opp):
             if tuple(dev) != tuple(u) and all(d >= c for d, c in zip(dev, u)):
                 return False
     return True
@@ -196,10 +187,6 @@ def weight_sweep(G: VectorBimatrixGame, samples: int, seed: int) -> List[SweepRe
     return records
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def sweep_csv(G: VectorBimatrixGame, records: Sequence[SweepRecord]) -> str:
     """Render sweep records as CSV.
 
@@ -218,13 +205,13 @@ def sweep_csv(G: VectorBimatrixGame, records: Sequence[SweepRecord]) -> str:
     lines = [",".join(cols)]
     for rec in records:
         row = [str(rec.trial)]
-        row += [_fmt(v) for v in rec.w1]
-        row += [_fmt(v) for v in rec.w2]
+        row += [format_float(v) for v in rec.w1]
+        row += [format_float(v) for v in rec.w2]
         if rec.report is None:
             row += [""] * (n1 + n2 + 2)
         else:
-            row += [_fmt(v) for v in rec.report.profile.x]
-            row += [_fmt(v) for v in rec.report.profile.y]
-            row += [_fmt(rec.report.payoffs[0]), _fmt(rec.report.payoffs[1])]
+            row += [format_float(v) for v in rec.report.profile.x]
+            row += [format_float(v) for v in rec.report.profile.y]
+            row += [format_float(u) for u in rec.report.payoffs]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ Indeterminate because candidate enumeration is then incomplete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from . import errors
 from .dist import OrderResult, rlex_compare
@@ -21,8 +21,11 @@ from .game_core import (
     MixedProfile,
     VectorBimatrixGame,
     mixed_payoff,
+    new_profile,
     projection,
+    pure_payoffs,
     shape,
+    subgame,
     to_probability_vector_game,
 )
 from .solve_real import (
@@ -53,36 +56,6 @@ class RlexDecision:
     degenerate: bool
 
 
-def _pure_deviation_vectors(G: VectorBimatrixGame, p: MixedProfile,
-                            player: int) -> List[tuple]:
-    """Payoff vector of each own pure strategy against the opponent mix."""
-    n1, n2 = shape(G)
-    out = []
-    if player == 1:
-        for i in range(n1):
-            vec = [0] * G.dim
-            for j in range(n2):
-                w = p.y[j]
-                if w == 0:
-                    continue
-                cell = G.A[i][j]
-                for c in range(G.dim):
-                    vec[c] = vec[c] + w * cell[c]
-            out.append(tuple(vec))
-    else:
-        for j in range(n2):
-            vec = [0] * G.dim
-            for i in range(n1):
-                w = p.x[i]
-                if w == 0:
-                    continue
-                cell = G.B[i][j]
-                for c in range(G.dim):
-                    vec[c] = vec[c] + w * cell[c]
-            out.append(tuple(vec))
-    return out
-
-
 def verify_rlex_equilibrium(G: VectorBimatrixGame, p: MixedProfile,
                             tol: float | None = None) -> bool:
     """True iff no pure deviation is RLEX-above the profile payoff for
@@ -90,14 +63,11 @@ def verify_rlex_equilibrium(G: VectorBimatrixGame, p: MixedProfile,
     n1, n2 = shape(G)
     if len(p.x) != n1 or len(p.y) != n2:
         raise errors.DimensionMismatch("profile does not fit the game")
-    u1 = mixed_payoff(G, p, 1)
-    for dev in _pure_deviation_vectors(G, p, 1):
-        if rlex_compare(dev, u1, tol) is OrderResult.GREATER:
-            return False
-    u2 = mixed_payoff(G, p, 2)
-    for dev in _pure_deviation_vectors(G, p, 2):
-        if rlex_compare(dev, u2, tol) is OrderResult.GREATER:
-            return False
+    for player, opp in ((1, p.y), (2, p.x)):
+        u = mixed_payoff(G, p, player)
+        for dev in pure_payoffs(G, player, opp):
+            if rlex_compare(dev, u, tol) is OrderResult.GREATER:
+                return False
     return True
 
 
@@ -158,8 +128,6 @@ def check_subgame_condition(G: VectorBimatrixGame, p: MixedProfile) -> bool:
     its supports must be an equilibrium of the correspondingly
     restricted scalar game.
     """
-    from .game_core import new_profile, subgame
-
     top = projection(G, G.dim - 1)
     if not is_epsilon_equilibrium(top, p, 0):
         raise errors.NotTopCoordinateEquilibrium(

@@ -7,15 +7,16 @@ equilibrium checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import errors
-from ._numeric import all_exact
-from .game_core import BimatrixGame, MixedProfile, shape
+from ._numeric import all_exact, is_exact
+from .game_core import (BimatrixGame, MixedProfile, mixed_payoff,
+                        pure_payoffs, shape)
 
 
 @dataclass(frozen=True)
@@ -124,24 +125,17 @@ def best_response_set(G: BimatrixGame, player: int, opponent_mix: Sequence) -> s
     """Pure strategies of `player` maximizing payoff against the given
     opponent mix.  Decided in exact rational arithmetic."""
     n1, n2 = shape(G)
-    if player == 1:
-        if len(opponent_mix) != n2:
-            raise errors.DimensionMismatch(
-                f"player 1 faces {n2} columns, mix has length {len(opponent_mix)}"
-            )
-        y = [Fraction(v) for v in opponent_mix]
-        A = _frac_matrix(G.A)
-        scores = [sum(A[i][j] * y[j] for j in range(n2)) for i in range(n1)]
-    elif player == 2:
-        if len(opponent_mix) != n1:
-            raise errors.DimensionMismatch(
-                f"player 2 faces {n1} rows, mix has length {len(opponent_mix)}"
-            )
-        x = [Fraction(v) for v in opponent_mix]
-        B = _frac_matrix(G.B)
-        scores = [sum(B[i][j] * x[i] for i in range(n1)) for j in range(n2)]
-    else:
+    if player not in (1, 2):
         raise ValueError("player must be 1 or 2")
+    faces, width = ((f"player 1 faces {n2} columns", n2) if player == 1
+                    else (f"player 2 faces {n1} rows", n1))
+    if len(opponent_mix) != width:
+        raise errors.DimensionMismatch(
+            f"{faces}, mix has length {len(opponent_mix)}")
+    # convert only the matrix in use: a Fraction per cell is the main cost
+    F = (replace(G, A=_frac_matrix(G.A)) if player == 1
+         else replace(G, B=_frac_matrix(G.B)))
+    scores = pure_payoffs(F, player, [Fraction(v) for v in opponent_mix])
     top = max(scores)
     return {i for i, s in enumerate(scores) if s == top}
 
@@ -177,6 +171,7 @@ def support_enumeration(G: BimatrixGame) -> SolveOutcome:
     n1, n2 = shape(G)
     A = _frac_matrix(G.A)
     B = _frac_matrix(G.B)
+    F = BimatrixGame(A, B)      # the Fraction game, for pure_payoffs
     Bt = [[B[i][j] for i in range(n1)] for j in range(n2)]
     degenerate = False
     seen = {}
@@ -210,9 +205,10 @@ def support_enumeration(G: BimatrixGame) -> SolveOutcome:
     for (x, y), (v1, v2) in seen.items():
         supp_x = tuple(i for i, w in enumerate(x) if w > 0)
         supp_y = tuple(j for j, w in enumerate(y) if w > 0)
-        br1 = best_response_set(G, 1, y)
-        br2 = best_response_set(G, 2, x)
-        if len(br1) > len(supp_y) or len(br2) > len(supp_x):
+        # more pure best responses than the opposing support size
+        u1 = pure_payoffs(F, 1, y)
+        u2 = pure_payoffs(F, 2, x)
+        if u1.count(max(u1)) > len(supp_y) or u2.count(max(u2)) > len(supp_x):
             degenerate = True
         reports.append(EquilibriumReport(
             profile=MixedProfile(x, y),
@@ -329,21 +325,9 @@ def is_epsilon_equilibrium(G: BimatrixGame, p: MixedProfile, eps) -> bool:
     n1, n2 = shape(G)
     if len(p.x) != n1 or len(p.y) != n2:
         raise errors.DimensionMismatch("profile does not fit the game")
-    exact = all_exact([v for row in G.A for v in row]
-                      + [v for row in G.B for v in row]
-                      + list(p.x) + list(p.y))
-    conv = Fraction if exact else float
-    x = [conv(v) for v in p.x]
-    y = [conv(v) for v in p.y]
-    A = [[conv(v) for v in row] for row in G.A]
-    B = [[conv(v) for v in row] for row in G.B]
-    e = conv(eps)
-    u1 = sum(x[i] * A[i][j] * y[j] for i in range(n1) for j in range(n2))
-    u2 = sum(x[i] * B[i][j] * y[j] for i in range(n1) for j in range(n2))
-    for i in range(n1):
-        if sum(A[i][j] * y[j] for j in range(n2)) > u1 + e:
-            return False
-    for j in range(n2):
-        if sum(B[i][j] * x[i] for i in range(n1)) > u2 + e:
+    for player, opp in ((1, p.y), (2, p.x)):
+        u = mixed_payoff(G, p, player)
+        bound = u + (Fraction(eps) if is_exact(u) else eps)
+        if any(d > bound for d in pure_payoffs(G, player, opp)):
             return False
     return True
