@@ -23,7 +23,8 @@ from .game_core import (BimatrixGame, DistributionBimatrixGame, MixedProfile,
                         VectorBimatrixGame, common_support, from_real_game,
                         mixed_payoff, negates, new_bimatrix,
                         new_distribution_game, new_profile, new_vector_game,
-                        projection, pure_payoffs, pure_profile, shape, subgame,
+                        projection, pure_payoffs, pure_profile, shape,
+                        some_deviation_beats, subgame,
                         to_probability_vector_game, top_projection)
 from .solve_real import (EquilibriumReport, FPRecord, SolveOutcome,
                          best_response_set, dominant_solution,

@@ -45,11 +45,12 @@ def cmp(a: Number, b: Number, tol: float | None = None) -> int:
     return -1 if d < 0 else 1
 
 
-def close_to(a: Number, b: Number, tol: float = MASS_SUM_TOL) -> bool:
-    """Equality for exact values, |a - b| <= tol as soon as a float is in."""
+def close_to(a: Number, b: Number) -> bool:
+    """Equality for exact values, |a - b| <= MASS_SUM_TOL as soon as a
+    float is in."""
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(float(a) - float(b)) <= tol
+    return abs(float(a) - float(b)) <= MASS_SUM_TOL
 
 
 def sums_to_one(ws: Sequence[Number]) -> bool:

@@ -208,8 +208,11 @@ def _cmd_fp(args) -> int:
         + [f"y_{j+1}" for j in range(n2)] + ["payoff1"]
     out = [",".join(cols)]
     for rec in records:
-        cells = rec.x + rec.y + (rec.payoff1,)
-        out.append(",".join([str(rec.round)] + [format_float(v) for v in cells]))
+        vals = [str(rec.round)] \
+            + [format_float(v) for v in rec.x] \
+            + [format_float(v) for v in rec.y] \
+            + [format_float(rec.payoff1)]
+        out.append(",".join(vals))
     print("\n".join(out))
     return 0
 
@@ -230,15 +233,20 @@ def _decision_json(decision) -> dict:
     }
 
 
-def _cmd_decide(args) -> int:
-    if args.command == "rlex-decide":
-        decision = decide_rlex_equilibria(
-            _load_game(args, VectorBimatrixGame, "vector"))
-    else:
-        decision = decide_tail_equilibria(
-            _load_game(args, DistributionBimatrixGame, "distribution"))
+def _print_decision(decision) -> int:
+    """Print a decision; exit code 2 when it is indeterminate."""
     _print_json(_decision_json(decision))
     return 2 if decision.status == INDETERMINATE else 0
+
+
+def _cmd_rlex_decide(args) -> int:
+    G = _load_game(args, VectorBimatrixGame, "vector")
+    return _print_decision(decide_rlex_equilibria(G))
+
+
+def _cmd_tail_decide(args) -> int:
+    G = _load_game(args, DistributionBimatrixGame, "distribution")
+    return _print_decision(decide_tail_equilibria(G))
 
 
 def _cmd_compare(args) -> int:
@@ -399,12 +407,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--record-every", type=int, default=1)
     sp.set_defaults(func=_cmd_fp)
 
-    for name, what in (
-            ("rlex-decide", "lexicographic equilibria of a vector game"),
-            ("tail-decide", "tail-order equilibria of a distribution game")):
-        sp = sub.add_parser(name, help=what)
-        sp.add_argument("--input", required=True)
-        sp.set_defaults(func=_cmd_decide)
+    sp = sub.add_parser("rlex-decide",
+                        help="lexicographic equilibria of a vector game")
+    sp.add_argument("--input", required=True)
+    sp.set_defaults(func=_cmd_rlex_decide)
+
+    sp = sub.add_parser("tail-decide",
+                        help="tail-order equilibria of a distribution game")
+    sp.add_argument("--input", required=True)
+    sp.set_defaults(func=_cmd_tail_decide)
 
     sp = sub.add_parser("compare", help="order two distributions")
     sp.add_argument("--order", choices=["exp", "st", "tail", "tweak"],

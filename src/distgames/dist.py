@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import errors
-from ._numeric import Number, cmp, format_number, parse_number, sums_to_one
+from ._numeric import (
+    Number,
+    cmp,
+    format_number,
+    parse_number,
+    sums_to_one,
+)
 
 
 class OrderResult(enum.Enum):

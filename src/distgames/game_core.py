@@ -76,7 +76,7 @@ def _cell_pairs(A, B):
     coordinate."""
     for ra, rb in zip(A, B):
         for ca, cb in zip(ra, rb):
-            if isinstance(ca, tuple):
+            if isinstance(ca, (tuple, list)):
                 yield from zip(ca, cb)
             else:
                 yield ca, cb
@@ -123,9 +123,11 @@ def new_distribution_game(A, B=None, zero_sum: bool = False) -> DistributionBima
     """Build a distribution-payoff game. zero_sum shares A cellwise; with
     zero_sum and no B, B = A."""
     Af, Bf = _freeze_pair(A, B, zero_sum, lambda M: M)
-    if not all(isinstance(cell, DiscreteDistribution)
-               for M in (Af, Bf) for row in M for cell in row):
-        raise errors.DimensionMismatch("cells must be distributions")
+    for M in (Af, Bf):
+        for row in M:
+            for cell in row:
+                if not isinstance(cell, DiscreteDistribution):
+                    raise errors.DimensionMismatch("cells must be distributions")
     if zero_sum and Af != Bf:
         raise errors.NotZeroSum("zero_sum requires A = B cellwise")
     return DistributionBimatrixGame(Af, Bf, zero_sum)
@@ -280,6 +282,16 @@ def mixed_payoff(G, p: MixedProfile, player: int):
         if p.x[i] != 0 and p.y[j] != 0
     ]
     return merge_weighted(components)
+
+
+def some_deviation_beats(G, p: MixedProfile, beats) -> bool:
+    """True when beats(d, u) holds for some pure deviation payoff d of
+    either player, u being that player's payoff at p."""
+    for player, opp in ((1, p.y), (2, p.x)):
+        u = mixed_payoff(G, p, player)
+        if any(beats(d, u) for d in pure_payoffs(G, player, opp)):
+            return True
+    return False
 
 
 def from_real_game(G: BimatrixGame) -> DistributionBimatrixGame:

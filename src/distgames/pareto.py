@@ -25,11 +25,10 @@ from .game_core import (
     DistributionBimatrixGame,
     MixedProfile,
     VectorBimatrixGame,
-    mixed_payoff,
     negates,
     new_vector_game,
-    pure_payoffs,
     shape,
+    some_deviation_beats,
 )
 from .solve_real import EquilibriumReport, SolveOutcome, support_enumeration
 
@@ -143,12 +142,9 @@ def pareto_nash(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> SolveOutco
 def verify_pareto_nash(G: VectorBimatrixGame, p: MixedProfile) -> bool:
     """Direct check: no pure deviation may be componentwise >= the
     profile payoff while differing somewhere."""
-    for player, opp in ((1, p.y), (2, p.x)):
-        u = mixed_payoff(G, p, player)
-        for dev in pure_payoffs(G, player, opp):
-            if tuple(dev) != tuple(u) and all(d >= c for d, c in zip(dev, u)):
-                return False
-    return True
+    def dominates(dev, u) -> bool:
+        return tuple(dev) != tuple(u) and all(d >= c for d, c in zip(dev, u))
+    return not some_deviation_beats(G, p, dominates)
 
 
 @dataclass(frozen=True)

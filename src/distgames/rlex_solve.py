@@ -23,8 +23,7 @@ from .game_core import (
     mixed_payoff,
     new_profile,
     projection,
-    pure_payoffs,
-    shape,
+    some_deviation_beats,
     subgame,
     to_probability_vector_game,
 )
@@ -60,15 +59,8 @@ def verify_rlex_equilibrium(G: VectorBimatrixGame, p: MixedProfile,
                             tol: float | None = None) -> bool:
     """True iff no pure deviation is RLEX-above the profile payoff for
     either player."""
-    n1, n2 = shape(G)
-    if len(p.x) != n1 or len(p.y) != n2:
-        raise errors.DimensionMismatch("profile does not fit the game")
-    for player, opp in ((1, p.y), (2, p.x)):
-        u = mixed_payoff(G, p, player)
-        for dev in pure_payoffs(G, player, opp):
-            if rlex_compare(dev, u, tol) is OrderResult.GREATER:
-                return False
-    return True
+    return not some_deviation_beats(
+        G, p, lambda d, u: rlex_compare(d, u, tol) is OrderResult.GREATER)
 
 
 def decide_rlex_equilibria(G: VectorBimatrixGame,

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import errors
 from ._numeric import all_exact, is_exact
-from .game_core import (BimatrixGame, MixedProfile, mixed_payoff,
-                        pure_payoffs, shape)
+from .game_core import (BimatrixGame, MixedProfile, pure_payoffs, shape,
+                        some_deviation_beats)
 
 
 @dataclass(frozen=True)
@@ -123,15 +123,8 @@ def dominant_solution(G: BimatrixGame) -> Optional[Tuple[int, int]]:
 
 def best_response_set(G: BimatrixGame, player: int, opponent_mix: Sequence) -> set:
     """Pure strategies of `player` maximizing payoff against the given
-    opponent mix.  Decided in exact rational arithmetic."""
-    n1, n2 = shape(G)
-    if player not in (1, 2):
-        raise ValueError("player must be 1 or 2")
-    faces, width = ((f"player 1 faces {n2} columns", n2) if player == 1
-                    else (f"player 2 faces {n1} rows", n1))
-    if len(opponent_mix) != width:
-        raise errors.DimensionMismatch(
-            f"{faces}, mix has length {len(opponent_mix)}")
+    opponent mix.  Decided in exact rational arithmetic; pure_payoffs
+    checks the player and the mix length."""
     # convert only the matrix in use: a Fraction per cell is the main cost
     F = (replace(G, A=_frac_matrix(G.A)) if player == 1
          else replace(G, B=_frac_matrix(G.B)))
@@ -322,12 +315,6 @@ def is_epsilon_equilibrium(G: BimatrixGame, p: MixedProfile, eps) -> bool:
     Pure deviations suffice because payoffs are affine in each player's
     own strategy.
     """
-    n1, n2 = shape(G)
-    if len(p.x) != n1 or len(p.y) != n2:
-        raise errors.DimensionMismatch("profile does not fit the game")
-    for player, opp in ((1, p.y), (2, p.x)):
-        u = mixed_payoff(G, p, player)
-        bound = u + (Fraction(eps) if is_exact(u) else eps)
-        if any(d > bound for d in pure_payoffs(G, player, opp)):
-            return False
-    return True
+    def gains(d, u) -> bool:
+        return d > u + (Fraction(eps) if is_exact(u) else eps)
+    return not some_deviation_beats(G, p, gains)

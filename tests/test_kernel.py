@@ -50,6 +50,35 @@ class TestPurePayoffs:
         with pytest.raises(ValueError):
             dg.pure_payoffs(rps, 3, oracles.RPS_MIX)
 
+    def test_some_deviation_beats_sees_both_players(self):
+        # (0, 0) of a prisoner's dilemma: each player gains by switching
+        G = dg.new_bimatrix([[3, 0], [5, 1]], [[3, 5], [0, 1]])
+        p = dg.pure_profile(0, 0, 2, 2)
+        seen = []
+        assert dg.some_deviation_beats(
+            G, p, lambda d, u: seen.append((d, u)) or False) is False
+        assert seen == [(3, 3), (5, 3), (3, 3), (5, 3)]
+        assert dg.some_deviation_beats(G, p, lambda d, u: d > u)
+        assert not dg.some_deviation_beats(
+            G, dg.pure_profile(1, 1, 2, 2), lambda d, u: d > u)
+
+    def test_deviation_checks_reject_a_profile_of_the_wrong_size(
+            self, rps, vector_game_2x2):
+        short = dg.new_profile((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+        with pytest.raises(errors.DimensionMismatch):
+            dg.is_epsilon_equilibrium(rps, short, 0)
+        wide = dg.new_profile(oracles.RPS_MIX, oracles.RPS_MIX)
+        with pytest.raises(errors.DimensionMismatch):
+            dg.verify_rlex_equilibrium(vector_game_2x2, wide)
+        with pytest.raises(errors.DimensionMismatch):
+            dg.verify_pareto_nash(vector_game_2x2, wide)
+
+    def test_best_response_set_validation_comes_from_the_kernel(self, rps):
+        with pytest.raises(ValueError, match="player must be 1 or 2"):
+            dg.best_response_set(rps, 3, oracles.RPS_MIX)
+        with pytest.raises(errors.DimensionMismatch):
+            dg.best_response_set(rps, 2, (1, 0))
+
 
 class TestClosenessRule:
     def test_exact_values_compare_exactly(self):
@@ -72,6 +101,8 @@ class TestClosenessRule:
         assert dg.negates([[(1, 2)]], [[(-1, -2)]])
         assert not dg.negates([[(1, 2)]], [[(-1, 2)]])
         assert dg.negates([[0.1]], [[-0.1 - MASS_SUM_TOL / 2]])
+        assert dg.negates([[[1, 2]]], [[[-1, -2]]])
+        assert not dg.negates([[[1, 2]]], [[[-1, 2]]])
 
     def test_weight_checks_keep_their_exception_types(self):
         with pytest.raises(errors.MassSumNotOne):
