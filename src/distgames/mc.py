@@ -2,16 +2,20 @@
 
 Random games get iid uniform(0,1) payoffs; trial t of a run seeded
 with seed draws them from np.random.default_rng((seed, t)), so results
-never depend on execution order.  The pure-equilibrium estimator
-computes those same per-trial streams for many trials at once in numpy
-(the SeedSequence hash and the PCG64 generator reimplemented in
-fixed-width integer arithmetic) and checks the batch for pure
-equilibria with array operations.  Closed-form existence
-probabilities are available for pure equilibria of random scalar games,
-and the lexicographic decision procedure is expected to agree with the
-pure top-coordinate probability while never certifying a non-pure
-equilibrium on continuously sampled payoffs; any such hit is treated as
-a bug, not a discovery.
+never depend on execution order.  Both estimators compute those
+per-trial streams for many trials at once in numpy (the SeedSequence
+hash and the PCG64 generator reimplemented in fixed-width integer
+arithmetic).  The pure-equilibrium estimator checks a batch for pure
+equilibria with array operations.  The lexicographic estimator decides
+2x2 trials in numpy through a certified filter: the top game's signs
+are exact integer arithmetic, and float comparisons are trusted only
+where they match the exact path's; every other trial, and every trial
+of another shape, runs the exact decision on the same draws.
+Closed-form existence probabilities are available for pure equilibria
+of random scalar games, and the lexicographic decision procedure is
+expected to agree with the pure top-coordinate probability while never
+certifying a non-pure equilibrium on continuously sampled payoffs; any
+such hit is treated as a bug, not a discovery.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import errors
-from ._numeric import format_float
+from ._numeric import DEFAULT_TOL, format_float
 from .game_core import BimatrixGame, new_bimatrix, new_vector_game, projection
 from .rlex_solve import EQUILIBRIA, INDETERMINATE, decide_rlex_equilibria
 from .solve_real import pure_equilibria
@@ -229,6 +233,28 @@ def _trial_uniforms(seed, start: int, stop: int, k: int,
     return (v >> 11).astype(np.float64) * 2.0 ** -53
 
 
+def _trial_batches(seed, trials: int, k: int):
+    """The draws of trials 0..trials-1, k per trial, as _trial_uniforms
+    arrays of at most _BATCH_DRAWS draws (at least one trial) each."""
+    jump = _jump_constants(k)
+    per_batch = max(1, _BATCH_DRAWS // k)
+    for start in range(0, trials, per_batch):
+        yield _trial_uniforms(seed, start, min(trials, start + per_batch), k,
+                              jump)
+
+
+def _game_shape(m, n) -> Tuple[int, int]:
+    m, n = operator.index(m), operator.index(n)
+    if m < 1 or n < 1:
+        raise errors.DimensionMismatch("matrix must be non-empty")
+    return m, n
+
+
+def _pure_reference(m: int, n: int, zero_sum: bool) -> float:
+    return float(formula_pure_zero_sum(m, n) if zero_sum
+                 else formula_pure_bimatrix(m, n))
+
+
 def _count_pure_hits(U: np.ndarray, m: int, n: int, zero_sum: bool) -> int:
     """Games holding a pure equilibrium among the rows of U: A is the
     first m*n draws in row-major order, B the next m*n or -A.  A cell
@@ -251,31 +277,115 @@ def estimate_pure_probability(m: int, n: int, zero_sum: bool, trials: int,
     trials at a time, which gives the same draws and the same count."""
     if trials < 1:
         raise ValueError("need trials >= 1")
-    m, n = operator.index(m), operator.index(n)
-    if m < 1 or n < 1:
-        raise errors.DimensionMismatch("matrix must be non-empty")
+    m, n = _game_shape(m, n)
     k = m * n if zero_sum else 2 * m * n
-    jump = _jump_constants(k)
-    per_batch = max(1, _BATCH_DRAWS // k)
-    hits = 0
-    for start in range(0, trials, per_batch):
-        U = _trial_uniforms(seed, start, min(trials, start + per_batch), k,
-                            jump)
-        hits += _count_pure_hits(U, m, n, zero_sum)
-    ref = formula_pure_zero_sum(m, n) if zero_sum else formula_pure_bimatrix(m, n)
-    return _summarize(hits, trials, float(ref))
+    hits = sum(_count_pure_hits(U, m, n, zero_sum)
+               for U in _trial_batches(seed, trials, k))
+    return _summarize(hits, trials, _pure_reference(m, n, zero_sum))
 
 
-def _random_vector_game(m: int, n: int, dim: int, zero_sum: bool,
-                        rng: np.random.Generator):
-    draws = rng.random((m, n, dim))
-    A = [[tuple(float(v) for v in cell) for cell in row] for row in draws]
-    if zero_sum:
-        B = [[tuple(-e for e in cell) for cell in row] for row in A]
-    else:
-        draws2 = rng.random((m, n, dim))
-        B = [[tuple(float(v) for v in cell) for cell in row] for row in draws2]
-    return new_vector_game(A, B, dim)
+# How far from cmp's tolerance a difference of the mixed-profile RLEX
+# check must lie for the 2x2 filter to trust its sign.  The filter's
+# float weights are within 2 ulps of the exact path's float(Fraction)
+# weights, and every payoff lies in (-1, 1), so its differences are
+# within about 2**-48 of the exact path's.
+_RLEX_MARGIN = 2.0 ** -40
+
+
+def _rlex_greater(D: np.ndarray) -> np.ndarray:
+    """rlex_compare(d, u) is GREATER, for differences D = d - u along the
+    last axis: the highest coordinate with |D| > DEFAULT_TOL decides, as
+    cmp decides with its default tolerance."""
+    greater = np.zeros(D.shape[:-1], dtype=bool)
+    for c in range(D.shape[-1]):    # a higher coordinate overrides
+        off = np.abs(D[..., c]) > DEFAULT_TOL
+        greater = np.where(off, D[..., c] > 0, greater)
+    return greater
+
+
+def _rlex_2x2_filter(U: np.ndarray, dim: int, zero_sum: bool):
+    """Decide 2x2 trials from their draws (rows of U, laid out as in
+    estimate_rlex_probability) in numpy.
+
+    Returns (certified, decided): decided holds one _decide_rlex_rows row
+    per trial and is valid where certified is true.  The top game's
+    signs are exact: every draw is a multiple of 2**-53, so the top
+    coordinates scale to exact int64.  A row is certified when its top
+    game has no tie and no singular indifference system, and no
+    difference of the mixed profile's RLEX check lies within
+    _RLEX_MARGIN of cmp's tolerance.  Its top game is then
+    non-degenerate, so the exact path is never Indeterminate on it, and
+    its equilibria are the strict pure cells plus the mixed profile when
+    all four weights are positive.  The pure cells' RLEX checks compare
+    drawn floats only, which numpy reproduces bit for bit.
+    """
+    A = U[:, :4 * dim].reshape(-1, 2, 2, dim)
+    B = -A if zero_sum else U[:, 4 * dim:].reshape(-1, 2, 2, dim)
+    a = (A[..., -1] * 2.0 ** 53).astype(np.int64)
+    b = (B[..., -1] * 2.0 ** 53).astype(np.int64)
+    # Cramer's rule on the indifference systems: y = ny / dA, x = nx / dB;
+    # a zero numerator is a tie in a column of a or in a row of b
+    ny = np.stack([a[:, 1, 1] - a[:, 0, 1], a[:, 0, 0] - a[:, 1, 0]], axis=1)
+    nx = np.stack([b[:, 1, 1] - b[:, 1, 0], b[:, 0, 0] - b[:, 0, 1]], axis=1)
+    dA, dB = ny.sum(axis=1), nx.sum(axis=1)
+    certified = ((ny != 0).all(axis=1) & (nx != 0).all(axis=1)
+                 & (dA != 0) & (dB != 0))
+    cell = (a == a.max(axis=1, keepdims=True)) & (b == b.max(axis=2, keepdims=True))
+    # some row i' beats cell (i, j) for player 1, some column j' for player 2
+    beaten1 = _rlex_greater(A[:, :, None] - A[:, None]).any(axis=1)
+    beaten2 = _rlex_greater(B[:, :, :, None] - B[:, :, None]).any(axis=2)
+    pure_ok = cell & ~beaten1 & ~beaten2
+    mixed = (certified & ((ny > 0) == (dA > 0)[:, None]).all(axis=1)
+             & ((nx > 0) == (dB > 0)[:, None]).all(axis=1))
+    mixed_ok = np.zeros_like(mixed)
+    y = ny[mixed] / dA[mixed, None]
+    x = nx[mixed] / dB[mixed, None]
+    Am, Bm = A[mixed], B[mixed]
+    # in the exact path's order: each pure payoff (w0 * v0) + w1 * v1,
+    # then the player's own mix over the pure payoffs
+    p = y[:, 0, None, None] * Am[:, :, 0] + y[:, 1, None, None] * Am[:, :, 1]
+    q = x[:, 0, None, None] * Bm[:, 0] + x[:, 1, None, None] * Bm[:, 1]
+    u1 = x[:, 0, None] * p[:, 0] + x[:, 1, None] * p[:, 1]
+    u2 = y[:, 0, None] * q[:, 0] + y[:, 1, None] * q[:, 1]
+    D = np.concatenate([p - u1[:, None], q - u2[:, None]], axis=1)
+    certified[mixed] = ~(np.abs(np.abs(D) - DEFAULT_TOL)
+                         <= _RLEX_MARGIN).any(axis=(1, 2))
+    mixed_ok[mixed] = ~_rlex_greater(D).any(axis=1)
+    decided = np.stack([np.zeros_like(mixed), pure_ok.any(axis=(1, 2)) | mixed_ok,
+                        mixed_ok, cell.any(axis=(1, 2))], axis=1)
+    return certified, decided
+
+
+def _rlex_trial(row: np.ndarray, m: int, n: int, dim: int,
+                zero_sum: bool) -> tuple:
+    """The exact decision of one trial from its draws, as one
+    _decide_rlex_rows row."""
+    draws = row.reshape(-1, m, n, dim).tolist()
+    A = draws[0]
+    B = [[[-e for e in cell] for cell in r] for r in A] if zero_sum else draws[1]
+    G = new_vector_game(A, B, dim)
+    decision = decide_rlex_equilibria(G)
+    if decision.status == INDETERMINATE:
+        return True, False, False, False
+    return (False, decision.status == EQUILIBRIA,
+            any(not rep.pure for rep in decision.equilibria),
+            bool(pure_equilibria(projection(G, dim - 1))))
+
+
+def _decide_rlex_rows(U: np.ndarray, m: int, n: int, dim: int,
+                      zero_sum: bool) -> np.ndarray:
+    """One row per trial of U: (Indeterminate, RLEX equilibrium found,
+    non-pure equilibrium verified, pure equilibrium of the top game).
+    2x2 trials go through the filter; the rest run the exact decision."""
+    out = np.zeros((len(U), 4), dtype=bool)
+    exact = np.ones(len(U), dtype=bool)
+    if m == n == 2:
+        certified, decided = _rlex_2x2_filter(U, dim, zero_sum)
+        out[certified] = decided[certified]
+        exact = ~certified
+    for r in np.flatnonzero(exact):
+        out[r] = _rlex_trial(U[r], m, n, dim, zero_sum)
+    return out
 
 
 def estimate_rlex_probability(m: int, n: int, dim: int, zero_sum: bool,
@@ -285,40 +395,33 @@ def estimate_rlex_probability(m: int, n: int, dim: int, zero_sum: bool,
     games, next to the frequency of pure equilibria in the top
     coordinate alone.
 
-    Returns (rlex summary, pure-top summary, number of trials where a
-    verified equilibrium was non-pure, number of Indeterminate trials).
-    Indeterminate trials count toward neither estimate; more than 0.1%
-    of them aborts the run since that signals broken degeneracy
-    detection rather than unlucky sampling.
+    Trial t draws A as rng.random((m, n, dim)) and B as a second such
+    draw, or -A when zero_sum, from rng = np.random.default_rng((seed, t)),
+    and runs decide_rlex_equilibria and pure_equilibria on the top
+    projection.  Returns (rlex summary, pure-top summary, number of
+    trials where a verified equilibrium was non-pure, number of
+    Indeterminate trials).  Indeterminate trials count toward neither
+    estimate; more than 0.1% of them aborts the run since that signals
+    broken degeneracy detection rather than unlucky sampling.
     """
+    dim = operator.index(dim)
     if dim < 2:
         raise ValueError("need dim >= 2")
     if trials < 1:
         raise ValueError("need trials >= 1")
-    rlex_hits = 0
-    pure_top_hits = 0
-    nonpure_found = 0
-    indeterminate = 0
-    for t in range(trials):
-        G = _random_vector_game(m, n, dim, zero_sum, _trial_rng(seed, t))
-        decision = decide_rlex_equilibria(G)
-        if decision.status == INDETERMINATE:
-            indeterminate += 1
-            continue
-        if decision.status == EQUILIBRIA:
-            rlex_hits += 1
-            if any(not rep.pure for rep in decision.equilibria):
-                nonpure_found += 1
-        if pure_equilibria(projection(G, dim - 1)):
-            pure_top_hits += 1
+    m, n = _game_shape(m, n)
+    k = m * n * dim if zero_sum else 2 * m * n * dim
+    counts = sum(_decide_rlex_rows(U, m, n, dim, zero_sum).sum(axis=0)
+                 for U in _trial_batches(seed, trials, k))
+    indeterminate, rlex_hits, nonpure_found, pure_top_hits = map(int, counts)
     if indeterminate * 1000 > trials:
         raise errors.ExcessiveDegeneracy(
             f"{indeterminate} of {trials} trials were Indeterminate"
         )
     effective = trials - indeterminate
-    ref = formula_pure_zero_sum(m, n) if zero_sum else formula_pure_bimatrix(m, n)
-    return (_summarize(rlex_hits, effective, float(ref)),
-            _summarize(pure_top_hits, effective, float(ref)),
+    ref = _pure_reference(m, n, zero_sum)
+    return (_summarize(rlex_hits, effective, ref),
+            _summarize(pure_top_hits, effective, ref),
             nonpure_found, indeterminate)
 
 
