@@ -12,7 +12,8 @@ MASS_SUM_TOL otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from math import isfinite, lcm
+from typing import List, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -26,6 +27,16 @@ def is_exact(x: Number) -> bool:
 
 def all_exact(xs: Sequence[Number]) -> bool:
     return all(is_exact(x) for x in xs)
+
+
+def scale_to_integers(rows: Sequence[Sequence[Number]]
+                      ) -> Tuple[List[List[int]], int]:
+    """Integer rows and the least common denominator d of all entries,
+    rows[i][j] = ints[i][j] / d.  Floats count as their binary rationals.
+    """
+    fs = [[Fraction(x) for x in row] for row in rows]
+    d = lcm(*(f.denominator for row in fs for f in row))
+    return [[f.numerator * (d // f.denominator) for f in row] for row in fs], d
 
 
 def cmp(a: Number, b: Number, tol: float | None = None) -> int:
@@ -63,7 +74,7 @@ def parse_number(obj) -> Number:
     """Read a number from a JSON value.
 
     Strings are exact rationals in "p/q" (or plain "p") form; ints stay
-    ints, everything else becomes float.
+    ints, finite floats stay floats.  NaN and infinities raise ValueError.
     """
     if isinstance(obj, str):
         f = Fraction(obj)
@@ -73,6 +84,8 @@ def parse_number(obj) -> Number:
     if isinstance(obj, int):
         return obj
     if isinstance(obj, float):
+        if not isfinite(obj):
+            raise ValueError(f"non-finite number {obj!r}")
         return obj
     raise TypeError(f"cannot interpret {obj!r} as a number")
 

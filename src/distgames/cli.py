@@ -62,7 +62,9 @@ def parse_game_document(doc):
     if not isinstance(doc, dict):
         raise ValueError("game document must be a JSON object")
     gtype = doc.get("type")
-    zero_sum = bool(doc.get("zero_sum", False))
+    zero_sum = doc.get("zero_sum", False)
+    if not isinstance(zero_sum, bool):
+        raise ValueError(f"zero_sum must be true or false, not {zero_sum!r}")
     if "A" not in doc:
         raise ValueError("game document lacks payoff array A")
     A = doc["A"]

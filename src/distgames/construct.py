@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import errors
+from ._numeric import scale_to_integers
 
 X_ABOVE_Y = "XaboveY"
 Y_ABOVE_X = "YaboveX"
@@ -281,10 +281,7 @@ def _search_k(w: List[Fraction], v: List[Fraction], n: int, b: Fraction,
     Scaled to integers on a common denominator so the scan is pure int
     arithmetic with incrementally updated powers.
     """
-    D = lcm(*(x.denominator for x in w + v + [b]))
-    W = [int(x * D) for x in w]
-    V = [int(x * D) for x in v]
-    Bi = int(b * D)
+    (W, V, (Bi,)), _ = scale_to_integers([w, v, [b]])
     k = k_start
     pw = [x ** k for x in W]
     pv = [x ** k for x in V]

@@ -1,8 +1,8 @@
 """Equilibrium computation for scalar bimatrix games.
 
 Pure-equilibrium detection, dominant strategies, exact support
-enumeration over rational arithmetic, fictitious play, and epsilon
-equilibrium checks.
+enumeration (integer payoffs, fraction-free elimination, Fractions only
+for the equilibria found), fictitious play, and epsilon checks.
 """
 
 from __future__ import annotations
@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import errors
-from ._numeric import all_exact, is_exact
+from ._numeric import all_exact, is_exact, scale_to_integers
 from .game_core import (BimatrixGame, MixedProfile, pure_payoffs, shape,
                         some_deviation_beats)
 
@@ -63,30 +62,6 @@ def _frac_matrix(M) -> list:
     return [[Fraction(v) for v in row] for row in M]
 
 
-def _solve_square(aug: list) -> Optional[list]:
-    """Gauss-Jordan on an n x (n+1) augmented rational matrix.
-
-    Returns the solution vector, or None when the matrix is singular.
-    """
-    n = len(aug)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def pure_equilibria(G: BimatrixGame) -> List[Tuple[int, int]]:
     """Cells (i, j) with A[i][j] maximal in column j and B[i][j] maximal
     in row i, in row-major order."""
@@ -133,80 +108,123 @@ def best_response_set(G: BimatrixGame, player: int, opponent_mix: Sequence) -> s
     return {i for i, s in enumerate(scores) if s == top}
 
 
-def _indifference_solution(M: list, rows: tuple, cols: tuple):
-    """Solve for a mix over `cols` making all `rows` of M indifferent.
+def _bareiss(M: list) -> Optional[tuple]:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on an n x (n+1)
+    augmented integer matrix, in place: every division is exact and the
+    last pivot is +-det.  Returns (D, [D * x_i]) with D = |det| > 0, or
+    None when singular."""
+    n = len(M)
+    prev = 1
+    for c in range(n):
+        p = c
+        while not M[p][c]:
+            p += 1
+            if p == n:
+                return None
+        M[c], M[p] = M[p], M[c]
+        top = M[c]
+        piv = top[c]
+        for r in range(n):
+            if r != c:
+                f = M[r][c]
+                M[r] = [(piv * a - f * b) // prev for a, b in zip(M[r], top)]
+        prev = piv
+    s = 1 if prev > 0 else -1
+    return s * prev, [s * row[n] for row in M]
 
-    Unknowns are the col weights plus the common payoff v.  Returns
-    (weights over cols, v), or None when singular.
-    """
-    k = len(rows)
+
+def _indifference(M: list, rows: tuple, cols: tuple) -> Optional[tuple]:
+    """Weights over `cols` that make the `rows` of integer matrix M
+    score the same v, as (D, [D * weight]) with D > 0, or None when
+    singular.  The (k+1) x (k+2) system in weights and v is cut down by
+    hand first, which keeps D = |det|: the first row is subtracted from
+    the others (removing v), and the last weight is 1 minus the rest."""
+    r0, last = M[rows[0]], cols[-1]
     aug = []
-    for i in rows:
-        aug.append([M[i][j] for j in cols] + [Fraction(-1), Fraction(0)])
-    aug.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
-    sol = _solve_square(aug)
+    for i in rows[1:]:
+        ri = M[i]
+        dl = ri[last] - r0[last]
+        aug.append([ri[j] - r0[j] - dl for j in cols[:-1]] + [-dl])
+    sol = _bareiss(aug)
     if sol is None:
         return None
-    return sol[:k], sol[k]
+    D, w = sol
+    w.append(D - sum(w))
+    return D, w
+
+
+def _score(row: list, cols: tuple, w: list) -> int:
+    return sum(row[j] * x for j, x in zip(cols, w))
+
+
+def _passes(M: list, rows: tuple, cols: tuple, w: list) -> bool:
+    """No negative weight, and no row outside `rows` scores above the
+    rows in it."""
+    if min(w) < 0:
+        return False
+    v = _score(M[rows[0]], cols, w)
+    return all(_score(M[i], cols, w) <= v
+               for i in range(len(M)) if i not in rows)
+
+
+def _mix(n: int, cols: tuple, D: int, w: list) -> tuple:
+    at = dict(zip(cols, w))
+    return tuple(Fraction(at.get(j, 0), D) for j in range(n))
 
 
 def support_enumeration(G: BimatrixGame) -> SolveOutcome:
     """Enumerate all support pairs (I, J) with |I| = |J| and solve the
     two indifference systems exactly.
 
-    A candidate survives when every solved weight is >= 0 and no pure
-    strategy outside the support does strictly better (ties allowed).
-    Singular systems set the degeneracy flag and contribute nothing.
-    The flag is also set when, at a surviving equilibrium, some mixed
-    strategy admits more opposing pure best responses than its own
-    support size.
+    A and B are scaled once to integers (floats are binary rationals)
+    and every system is solved fraction-free (Bareiss).  A candidate
+    survives when every weight is >= 0 and no pure strategy outside the
+    support does strictly better (ties allowed).  The y side is solved
+    first; if it fails, the x side is solved only while the degeneracy
+    flag is unset, to see if it is singular.  Singular systems set the
+    flag.  So does a surviving equilibrium where some mixed strategy
+    admits more opposing pure best responses than its support size.
     """
     n1, n2 = shape(G)
-    A = _frac_matrix(G.A)
-    B = _frac_matrix(G.B)
-    F = BimatrixGame(A, B)      # the Fraction game, for pure_payoffs
-    Bt = [[B[i][j] for i in range(n1)] for j in range(n2)]
+    A, sa = scale_to_integers(G.A)
+    B, sb = scale_to_integers(G.B)
+    Bt = [list(col) for col in zip(*B)]
     degenerate = False
     seen = {}
     for k in range(1, min(n1, n2) + 1):
         for I in combinations(range(n1), k):
             for J in combinations(range(n2), k):
-                ry = _indifference_solution(A, I, J)
-                rx = _indifference_solution(Bt, J, I)
-                if ry is None or rx is None:
+                ry = _indifference(A, I, J)
+                if ry is None:
                     degenerate = True
                     continue
-                yw, v1 = ry
-                xw, v2 = rx
-                if any(w < 0 for w in yw) or any(w < 0 for w in xw):
+                if not _passes(A, I, J, ry[1]):
+                    if not degenerate and _indifference(Bt, J, I) is None:
+                        degenerate = True
                     continue
-                y = [Fraction(0)] * n2
-                for j, w in zip(J, yw):
-                    y[j] = w
-                x = [Fraction(0)] * n1
-                for i, w in zip(I, xw):
-                    x[i] = w
-                # outside best-response filters, non-strict
-                if any(sum(A[i][j] * y[j] for j in range(n2)) > v1
-                       for i in range(n1) if i not in I):
+                rx = _indifference(Bt, J, I)
+                if rx is None:
+                    degenerate = True
                     continue
-                if any(sum(B[i][j] * x[i] for i in range(n1)) > v2
-                       for j in range(n2) if j not in J):
+                if not _passes(Bt, J, I, rx[1]):
                     continue
-                seen[(tuple(x), tuple(y))] = (v1, v2)
+                (dy, wy), (dx, wx) = ry, rx
+                # more pure best responses than the opposing support size
+                for M, cols, w in ((A, J, wy), (Bt, I, wx)):
+                    u = [_score(row, cols, w) for row in M]
+                    if u.count(max(u)) > sum(1 for x in w if x > 0):
+                        degenerate = True
+                seen[(_mix(n1, I, dx, wx), _mix(n2, J, dy, wy))] = (
+                    Fraction(_score(A[I[0]], J, wy), dy * sa),
+                    Fraction(_score(Bt[J[0]], I, wx), dx * sb))
     reports = []
-    for (x, y), (v1, v2) in seen.items():
+    for (x, y), payoffs in seen.items():
         supp_x = tuple(i for i, w in enumerate(x) if w > 0)
         supp_y = tuple(j for j, w in enumerate(y) if w > 0)
-        # more pure best responses than the opposing support size
-        u1 = pure_payoffs(F, 1, y)
-        u2 = pure_payoffs(F, 2, x)
-        if u1.count(max(u1)) > len(supp_y) or u2.count(max(u2)) > len(supp_x):
-            degenerate = True
         reports.append(EquilibriumReport(
             profile=MixedProfile(x, y),
             supports=(supp_x, supp_y),
-            payoffs=(v1, v2),
+            payoffs=payoffs,
             pure=(len(supp_x) == 1 and len(supp_y) == 1),
         ))
     reports.sort(key=lambda r: (len(r.supports[0]), r.supports[0],
@@ -259,10 +277,8 @@ def fictitious_play(G: BimatrixGame, rounds: int, seed: int | None = None,
     n1, n2 = shape(G)
     flat = [v for row in G.A for v in row] + [v for row in G.B for v in row]
     if all_exact(flat):
-        den = lcm(*(Fraction(v).denominator for v in flat))
-        A = [[int(Fraction(v) * den) for v in row] for row in G.A]
-        B = [[int(Fraction(v) * den) for v in row] for row in G.B]
-        scale = den
+        ints, scale = scale_to_integers([*G.A, *G.B])
+        A, B = ints[:n1], ints[n1:]
     else:
         A = [[float(v) for v in row] for row in G.A]
         B = [[float(v) for v in row] for row in G.B]

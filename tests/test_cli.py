@@ -408,3 +408,35 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["equilibria"][0]["x"] == ["1/3", "1/3", "1/3"]
+
+
+class TestNonFiniteAndMistypedInput:
+    """Non-finite numbers and a non-boolean zero_sum are rejected with
+    exit 1 and one stderr line, before any solver runs."""
+
+    def _rejected(self, argv, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_pure_method_on_an_infinite_cell(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"type": "bimatrix",
+                                    "A": [[1, float("inf")], [0, 2]],
+                                    "B": [[0, 1], [1, 0]]}))
+        self._rejected(["solve", "--input", str(path), "--method", "pure"],
+                       capsys)
+
+    def test_stochastic_order_with_a_nan_atom(self, docs, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"atoms": [float("nan")], "masses": [1]}))
+        self._rejected(["compare", "--order", "st", "--p1", str(path),
+                        "--p2", docs["half13.json"]], capsys)
+
+    def test_zero_sum_given_as_a_string(self, tmp_path, capsys):
+        path = tmp_path / "zs.json"
+        path.write_text(json.dumps({"type": "bimatrix", "zero_sum": "false",
+                                    "A": [[1, 0], [0, 1]]}))
+        self._rejected(["solve", "--input", str(path)], capsys)

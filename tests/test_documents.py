@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import distgames as dg
+from distgames._numeric import parse_number
 from distgames.cli import game_to_document, main, parse_game_document
 
 import oracles
@@ -94,3 +95,33 @@ def test_wrong_document_type(command, tmp_path, capsys):
         assert rc == 1
         assert out == ""
         assert err == f"error: {command} expects a {want} document\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_rejected(value):
+    with pytest.raises(ValueError):
+        parse_number(value)
+    with pytest.raises(ValueError):
+        parse_game_document({"type": "bimatrix", "A": [[1, value]],
+                             "B": [[0, 0]]})
+    with pytest.raises(ValueError):
+        dg.distribution_from_json({"atoms": [value], "masses": [1]})
+
+
+def test_finite_float_kept():
+    assert parse_number(2.5) == 2.5
+    assert type(parse_number(2.5)) is float
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+def test_zero_sum_must_be_a_boolean(flag):
+    doc = {"type": "bimatrix", "zero_sum": flag, "A": [[1, 0], [0, 1]]}
+    with pytest.raises(ValueError, match="zero_sum must be true or false"):
+        parse_game_document(doc)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_zero_sum_boolean_accepted(flag):
+    doc = {"type": "bimatrix", "zero_sum": flag, "A": [[1, 0], [0, 1]],
+           "B": [[-1, 0], [0, -1]]}
+    assert parse_game_document(doc).zero_sum is flag

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import distgames as dg
 from distgames import errors
-from distgames._numeric import MASS_SUM_TOL, close_to, format_float, sums_to_one
+from distgames._numeric import (MASS_SUM_TOL, close_to, format_float,
+                                scale_to_integers, sums_to_one)
 
 import oracles
 
@@ -116,6 +117,20 @@ class TestClosenessRule:
         for v in (0.1, 1 / 3, -2.5e-300, 1e16 + 2):
             assert float(format_float(v)) == v
         assert format_float(F(1, 4)) == "0.25"
+
+
+class TestIntegerScaling:
+    def test_least_common_denominator(self):
+        assert scale_to_integers([[F(1, 2), F(-2, 3)], [4]]) == \
+            ([[3, -4], [24]], 6)
+        assert scale_to_integers([(2, -7, 0)]) == ([[2, -7, 0]], 1)
+        assert scale_to_integers([]) == ([], 1)
+
+    def test_floats_are_their_binary_rationals(self):
+        ints, d = scale_to_integers([[0.1, 0.75], [-3]])
+        assert d == 2 ** 55
+        assert [[F(n, d) for n in row] for row in ints] == \
+            [[F(0.1), F(3, 4)], [-3]]
 
 
 class TestDistributionHelpers:

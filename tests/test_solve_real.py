@@ -1,7 +1,9 @@
 """Real-valued solvers: pure equilibria, dominant strategies, exact
 support enumeration, fictitious play, epsilon checks."""
 
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -82,6 +84,134 @@ class TestSupportEnumeration:
         for G in (DILEMMA, NO_DOMINANT, TWO_PURE):
             for rep in dg.support_enumeration(G).equilibria:
                 assert dg.is_epsilon_equilibrium(G, rep.profile, 0)
+
+
+    def test_flag_from_singular_x_side_behind_a_failing_y_side(self):
+        # the full-support pair is the only singular system: its y side
+        # has a negative weight, and its x side (B's columns differ by a
+        # constant) has no solution
+        G = dg.new_bimatrix([[0, 2], [-1, 0]], [[0, 1], [0, 1]])
+        assert dg.support_enumeration(G).degenerate_flag is True
+
+
+# The Fraction Gauss-Jordan support enumeration that the integer kernel
+# replaced, kept here as an independent reference.
+def _gauss_jordan(aug):
+    n = len(aug)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+def _reference_mix(M, rows, cols, n):
+    """Weights over cols (as a full mix of length n) and the common
+    payoff that make the rows of M indifferent, or None if singular."""
+    k = len(rows)
+    aug = [[M[i][j] for j in cols] + [F(-1), F(0)] for i in rows]
+    aug.append([F(1)] * k + [F(0), F(1)])
+    sol = _gauss_jordan(aug)
+    if sol is None:
+        return None
+    mix = [F(0)] * n
+    for j, w in zip(cols, sol[:k]):
+        mix[j] = w
+    return mix, sol[k]
+
+
+def reference_support_enumeration(G):
+    A = [[F(v) for v in row] for row in G.A]
+    Bt = [[F(v) for v in col] for col in zip(*G.B)]
+    n1, n2 = len(A), len(Bt)
+    degenerate = False
+    seen = {}
+    for k in range(1, min(n1, n2) + 1):
+        for I in combinations(range(n1), k):
+            for J in combinations(range(n2), k):
+                ry = _reference_mix(A, I, J, n2)
+                rx = _reference_mix(Bt, J, I, n1)
+                if ry is None or rx is None:
+                    degenerate = True
+                    continue
+                (y, v1), (x, v2) = ry, rx
+                if min(y) < 0 or min(x) < 0:
+                    continue
+                u1 = [sum(a * w for a, w in zip(row, y)) for row in A]
+                u2 = [sum(b * w for b, w in zip(row, x)) for row in Bt]
+                if max(u1) > v1 or max(u2) > v2:
+                    continue
+                if u1.count(v1) > sum(w > 0 for w in y) or \
+                        u2.count(v2) > sum(w > 0 for w in x):
+                    degenerate = True
+                seen[(tuple(x), tuple(y))] = (v1, v2)
+    reports = []
+    for (x, y), payoffs in seen.items():
+        supp_x = tuple(i for i, w in enumerate(x) if w > 0)
+        supp_y = tuple(j for j, w in enumerate(y) if w > 0)
+        reports.append(dg.EquilibriumReport(
+            dg.MixedProfile(x, y), (supp_x, supp_y), payoffs,
+            len(supp_x) == 1 and len(supp_y) == 1))
+    reports.sort(key=lambda r: (len(r.supports[0]), r.supports[0],
+                                r.supports[1], r.profile.x, r.profile.y))
+    return dg.SolveOutcome(tuple(reports), degenerate)
+
+
+ENTRIES = {
+    "fraction": lambda rng: F(rng.randint(-9, 9), rng.randint(1, 4)),
+    # ties and singular systems everywhere
+    "small-int": lambda rng: rng.randint(-1, 1),
+    # binary rationals with denominators near 2**52 and beyond
+    "float": lambda rng: rng.uniform(-1, 1),
+}
+SHAPES = [(2, 2), (3, 3), (4, 4), (5, 5), (1, 4), (2, 3), (3, 2), (2, 5),
+          (4, 3)]
+
+
+def _random_matrix(rng, kind, n1, n2):
+    return [[ENTRIES[kind](rng) for _ in range(n2)] for _ in range(n1)]
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("kind", sorted(ENTRIES))
+    @pytest.mark.parametrize("n1,n2", SHAPES)
+    def test_same_outcome(self, kind, n1, n2):
+        rng = random.Random(f"{kind}-{n1}x{n2}")
+        for _ in range(2 if n1 * n2 >= 16 else 6):
+            G = dg.new_bimatrix(_random_matrix(rng, kind, n1, n2),
+                                _random_matrix(rng, kind, n1, n2))
+            assert dg.support_enumeration(G) == \
+                reference_support_enumeration(G)
+
+    @pytest.mark.parametrize("kind", sorted(ENTRIES))
+    def test_same_outcome_zero_sum(self, kind):
+        rng = random.Random(f"zero-sum-{kind}")
+        for n in (2, 3, 4):
+            G = dg.new_bimatrix(_random_matrix(rng, kind, n, n),
+                                zero_sum=True)
+            assert dg.support_enumeration(G) == \
+                reference_support_enumeration(G)
+
+    def test_zero_sum_value_of_float_games(self):
+        rng = random.Random(7)
+        for n in (2, 3, 4):
+            G = dg.new_bimatrix(_random_matrix(rng, "float", n, n),
+                                zero_sum=True)
+            ref = reference_support_enumeration(G)
+            value = dg.zero_sum_value(G)
+            assert type(value) is F
+            assert value == ref.equilibria[0].payoffs[0]
+
+    def test_tiny_and_huge_floats(self):
+        G = dg.new_bimatrix([[1e-300, 2.0 ** -1074], [3.5e300, -1.0]],
+                            [[0.1, -0.3], [2.0 ** -60, 1e200]])
+        assert dg.support_enumeration(G) == reference_support_enumeration(G)
 
 
 class TestZeroSumValue:
