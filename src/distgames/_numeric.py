@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Number = Union[int, Fraction, float]
 
@@ -70,22 +70,32 @@ def sums_to_one(ws: Sequence[Number]) -> bool:
     return close_to(sum(ws), 1)
 
 
+def reject_non_finite(values: Iterable[Number]) -> None:
+    """Raise ValueError on the first NaN or infinite float in values."""
+    for v in values:
+        if isinstance(v, float) and not isfinite(v):
+            raise ValueError(f"non-finite number {v!r}")
+
+
 def parse_number(obj) -> Number:
     """Read a number from a JSON value.
 
     Strings are exact rationals in "p/q" (or plain "p") form; ints stay
-    ints, finite floats stay floats.  NaN and infinities raise ValueError.
+    ints, finite floats stay floats.  NaN, infinities and a zero
+    denominator raise ValueError.
     """
     if isinstance(obj, str):
-        f = Fraction(obj)
+        try:
+            f = Fraction(obj)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {obj!r}") from None
         return int(f) if f.denominator == 1 else f
     if isinstance(obj, bool):
         raise TypeError("boolean is not a number")
     if isinstance(obj, int):
         return obj
     if isinstance(obj, float):
-        if not isfinite(obj):
-            raise ValueError(f"non-finite number {obj!r}")
+        reject_non_finite((obj,))
         return obj
     raise TypeError(f"cannot interpret {obj!r} as a number")
 

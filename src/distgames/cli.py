@@ -8,17 +8,22 @@ sorted keys, all listings are deterministically ordered.
 Exit codes: 0 for a normal answer (a NoEquilibrium status is an
 answer), 1 for parse or validation failures with a one-line diagnostic
 on stderr, 2 for an Indeterminate decision.
+
+The argument parser is built once per process, on the first main()
+call, and reused after that.  Handlers are bound then, so replacing a
+_cmd_* function later does not change what main() runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import errors
-from ._numeric import format_float, format_number, parse_number
+from ._numeric import format_number, parse_number
 from .construct import (alternating_moment_pair, geometric_tail_family,
                         shift_construction, verify_alternation_certificate,
                         verify_cdf_alternation)
@@ -208,13 +213,10 @@ def _cmd_fp(args) -> int:
     n1, n2 = shape(G)
     cols = ["round"] + [f"x_{i+1}" for i in range(n1)] \
         + [f"y_{j+1}" for j in range(n2)] + ["payoff1"]
+    # one %-template per row; "%.17g" % v equals format_float(v) for floats
+    row = ",".join(["%d"] + ["%.17g"] * (n1 + n2 + 1))
     out = [",".join(cols)]
-    for rec in records:
-        vals = [str(rec.round)] \
-            + [format_float(v) for v in rec.x] \
-            + [format_float(v) for v in rec.y] \
-            + [format_float(rec.payoff1)]
-        out.append(",".join(vals))
+    out += [row % (rec.round, *rec.x, *rec.y, rec.payoff1) for rec in records]
     print("\n".join(out))
     return 0
 
@@ -391,6 +393,7 @@ def _cmd_momcheck(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="distgames",
                 description="distribution-valued game calculations")
@@ -502,7 +505,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except errors.DistGamesError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ from ._numeric import (
     cmp,
     format_number,
     parse_number,
+    reject_non_finite,
     sums_to_one,
 )
 
@@ -104,6 +105,8 @@ def new_distribution(atoms: Sequence[Number], masses: Sequence[Number]) -> Discr
     MassSumNotOne
         If the masses do not sum to 1 (exactly for exact inputs,
         within 1e-12 otherwise).
+    ValueError
+        If an atom or mass is a NaN or infinite float.
     """
     if len(atoms) != len(masses):
         raise errors.EmptySupport(
@@ -111,6 +114,7 @@ def new_distribution(atoms: Sequence[Number], masses: Sequence[Number]) -> Discr
         )
     if len(atoms) == 0:
         raise errors.EmptySupport("a distribution needs at least one atom")
+    reject_non_finite((*atoms, *masses))
     pairs = sorted(zip(atoms, masses), key=lambda p: p[0])
     for (a1, _), (a2, _) in zip(pairs, pairs[1:]):
         if a1 == a2:

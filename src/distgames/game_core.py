@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import errors
-from ._numeric import close_to, sums_to_one
+from ._numeric import close_to, reject_non_finite, sums_to_one
 from .dist import DiscreteDistribution, dirac, mass_vector, merge_weighted
 
 
@@ -91,6 +91,7 @@ def new_bimatrix(A, B=None, zero_sum: bool = False) -> BimatrixGame:
     """Build a scalar bimatrix game. With zero_sum and no B, B = -A."""
     Af, Bf = _freeze_pair(A, B, zero_sum,
                           lambda M: tuple(tuple(-v for v in row) for row in M))
+    reject_non_finite(v for M in (Af, Bf) for row in M for v in row)
     if zero_sum:
         for a, b in _cell_pairs(Af, Bf):
             if not close_to(a, -b):
@@ -116,6 +117,7 @@ def new_vector_game(A, B, dim: int | None = None) -> VectorBimatrixGame:
                     raise errors.DimensionMismatch(
                         f"cell has dimension {len(cell)}, expected {d}"
                     )
+                reject_non_finite(cell)
     return VectorBimatrixGame(Af, Bf, d)
 
 

@@ -7,13 +7,18 @@ wired up.
 """
 
 import json
+import random
 import subprocess
+from fractions import Fraction
 
 import pytest
 
 import oracles
+from distgames import cli
+from distgames._numeric import format_float
 from distgames.cli import game_to_document, main, parse_game_document
-from distgames.game_core import new_vector_game
+from distgames.game_core import new_bimatrix, new_vector_game, shape
+from distgames.solve_real import fictitious_play
 
 
 def run_cli(argv, capsys):
@@ -440,3 +445,149 @@ class TestNonFiniteAndMistypedInput:
         path.write_text(json.dumps({"type": "bimatrix", "zero_sum": "false",
                                     "A": [[1, 0], [0, 1]]}))
         self._rejected(["solve", "--input", str(path)], capsys)
+
+
+def assert_rejected(argv, capsys):
+    """Exit 1, nothing on stdout, exactly one stderr line, no traceback."""
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error")
+    assert err.count("\n") == 1
+
+
+class TestZeroDenominatorAndOverflow:
+    """A "p/0" number wherever one is read, and a cell too large for a
+    float in fictitious play, end in exit 1 rather than a traceback."""
+
+    def test_game_cell(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"type": "bimatrix",
+                                    "A": [["1/0", 0], [0, 1]],
+                                    "B": [[0, 1], [1, 0]]}))
+        assert_rejected(["solve", "--input", str(path)], capsys)
+
+    def test_distribution_atom(self, docs, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"atoms": ["1/0"], "masses": [1]}))
+        assert_rejected(["compare", "--order", "st", "--p1", str(path),
+                         "--p2", docs["half13.json"]], capsys)
+
+    def test_geometric_ratio(self, capsys):
+        assert_rejected(["construct", "geom", "--c", "1/0", "--terms", "3"],
+                        capsys)
+
+    def test_partition(self, docs, capsys):
+        assert_rejected(["segment", "--input", docs["saddle.json"],
+                         "--partition", "0,1/0"], capsys)
+
+    def test_weights(self, docs, capsys):
+        assert_rejected(["pareto", "--input", docs["ref.json"],
+                         "--weights", "1/0,0;0,1"], capsys)
+
+    def test_moment_term(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps([1, "1/0", 2]))
+        assert_rejected(["momcheck", "--seq", str(path), "--condition", "cm"],
+                        capsys)
+
+    def test_fictitious_play_on_a_cell_beyond_float_range(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"type": "bimatrix",
+                                    "A": [["1e400", 0], [0, 1]],
+                                    "B": [[0, 1], [1, 0]]}))
+        assert_rejected(["fp", "--input", str(path), "--rounds", "5"], capsys)
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it must not let one
+    request change the answer to another."""
+
+    @staticmethod
+    def _call(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_mixed_requests_match_fresh_parsers(self, docs, capsys):
+        solve = ["solve", "--input", docs["rps.json"]]
+        requests = [
+            ["mc", "pure", "--m", "3", "--trials", "10"],
+            ["solve", "--help"],
+            solve,
+            ["fp", "--input", docs["twopure.json"], "--rounds", "9",
+             "--record-every", "2", "--seed", "5"],
+            ["compare", "--order", "tail", "--p1", docs["half13.json"],
+             "--p2", docs["dirac2.json"]],
+            ["fp", "--input", docs["twopure.json"], "--rounds", "many"],
+            solve,
+        ]
+        fresh = []
+        for argv in requests:
+            cli._build_parser.cache_clear()
+            fresh.append(self._call(argv, capsys))
+        cli._build_parser.cache_clear()
+        reused = [self._call(argv, capsys) for argv in requests]
+        assert reused == fresh
+        assert [rc for rc, _, _ in fresh] == [1, 0, 0, 0, 0, 1, 0]
+        assert fresh[1][1].startswith("usage: distgames solve")
+        for rc, out, err in (fresh[0], fresh[5]):
+            assert out == "" and err.startswith("error:")
+            assert err.count("\n") == 1
+
+
+def cell_by_cell_fp_csv(G, records) -> str:
+    """The fp writer as it was before the row template: one format_float
+    call per cell."""
+    n1, n2 = shape(G)
+    cols = ["round"] + [f"x_{i+1}" for i in range(n1)] \
+        + [f"y_{j+1}" for j in range(n2)] + ["payoff1"]
+    out = [",".join(cols)]
+    for rec in records:
+        vals = [str(rec.round)] \
+            + [format_float(v) for v in rec.x] \
+            + [format_float(v) for v in rec.y] \
+            + [format_float(rec.payoff1)]
+        out.append(",".join(vals))
+    return "\n".join(out) + "\n"
+
+
+class TestFpCsvAgainstCellWriter:
+    ROUNDS = 60
+
+    @staticmethod
+    def _entry(rng, kind):
+        if kind == "exact":
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        return rng.choice([rng.uniform(-5, 5), rng.uniform(-5, 5), -0.0,
+                           1e-300, -3e250, 0.1])
+
+    @pytest.mark.parametrize("kind", ["exact", "float"])
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_byte_equal(self, kind, seed, tmp_path, capsys):
+        rng = random.Random(f"{kind}-{seed}")
+        for n1 in range(1, 5):
+            for n2 in range(1, 4):
+                A, B = ([[self._entry(rng, kind) for _ in range(n2)]
+                         for _ in range(n1)] for _ in range(2))
+                G = new_bimatrix(A, B)
+                path = tmp_path / f"g{n1}{n2}.json"
+                path.write_text(json.dumps(game_to_document(G)))
+                for every in (1, 7, self.ROUNDS):
+                    argv = ["fp", "--input", str(path),
+                            "--rounds", str(self.ROUNDS),
+                            "--record-every", str(every)]
+                    if seed is not None:
+                        argv += ["--seed", str(seed)]
+                    rc, out, err = run_cli(argv, capsys)
+                    records = fictitious_play(G, self.ROUNDS, seed=seed,
+                                              record_every=every)
+                    assert (rc, err) == (0, "")
+                    assert out == cell_by_cell_fp_csv(G, records)

@@ -207,3 +207,46 @@ class TestDiracEmbedding:
             dev = dg.new_profile([1 if r == i else 0 for r in range(3)], p.y)
             d = dg.mixed_payoff(E, dev, 1)
             assert dg.compare_expectation(d, eq_payoff) is not OrderResult.GREATER
+
+
+class TestNonFiniteEntries:
+    """Constructors reject NaN and infinite floats; huge and subnormal
+    finite floats stay accepted."""
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"),
+                                     float("nan")])
+    def test_bimatrix(self, bad):
+        with pytest.raises(ValueError):
+            dg.new_bimatrix([[bad, 0]], [[0, 1]])
+        with pytest.raises(ValueError):
+            dg.new_bimatrix([[1, 0]], [[0, bad]])
+
+    def test_zero_sum_bimatrix(self):
+        with pytest.raises(ValueError):
+            dg.new_bimatrix([[0, float("-inf")]], zero_sum=True)
+
+    def test_distribution(self):
+        with pytest.raises(ValueError):
+            dg.new_distribution([float("nan")], [1])
+        with pytest.raises(ValueError):
+            dg.new_distribution([0, float("inf")], [F(1, 2), F(1, 2)])
+
+    def test_nan_payoff_game_never_reaches_fictitious_play(self):
+        with pytest.raises(ValueError):
+            dg.fictitious_play(
+                dg.new_bimatrix([[float("nan"), 1], [0, 2]],
+                                [[1, 0], [0, 1]]), 10)
+
+    def test_vector_game_coordinate(self):
+        with pytest.raises(ValueError):
+            dg.new_vector_game([[(1, float("nan"))]], [[(0, 0)]])
+        with pytest.raises(ValueError):
+            dg.new_vector_game([[(1, 2)]], [[(float("inf"), 0)]])
+
+    def test_extreme_finite_floats_accepted(self):
+        G = dg.new_bimatrix([[1e308, 5e-324]], [[-1e308, -5e-324]])
+        assert G.A == ((1e308, 5e-324),)
+        V = dg.new_vector_game([[(1e308, 5e-324)]], [[(0, 0)]])
+        assert V.A == (((1e308, 5e-324),),)
+        P = dg.new_distribution([5e-324, 1e308], [0.5, 0.5])
+        assert P.atoms == (5e-324, 1e308)

@@ -313,3 +313,27 @@ class TestEpsilonEquilibrium:
                         rep.profile.y,
                     )
                     assert dg.mixed_payoff(G, dev, 1) == u1
+
+
+class TestFloatFictitiousPlay:
+    """The float path of fictitious play, against the exact path on
+    dyadic games, where float sums carry no rounding error."""
+
+    @staticmethod
+    def _twins(rng, n1, n2):
+        ks = [[[rng.randint(-40, 40) for _ in range(n2)] for _ in range(n1)]
+              for _ in range(2)]
+        exact = dg.new_bimatrix(*[[[F(k, 8) for k in row] for row in M]
+                                  for M in ks])
+        floats = dg.new_bimatrix(*[[[k / 8 for k in row] for row in M]
+                                   for M in ks])
+        return exact, floats
+
+    def test_dyadic_float_game_matches_its_fraction_twin(self):
+        rng = random.Random(20)
+        for trial in range(60):
+            exact, floats = self._twins(rng, rng.randint(1, 4),
+                                        rng.randint(1, 4))
+            seed = None if trial % 2 else trial
+            assert dg.fictitious_play(floats, 300, seed=seed) == \
+                dg.fictitious_play(exact, 300, seed=seed)
