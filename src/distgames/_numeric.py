@@ -6,7 +6,8 @@ exact, and comparisons then use true equality.  As soon as a float is
 involved, comparisons fall back to an absolute tolerance (default 1e-9,
 overridable per call).  Structural checks (B = -A, weights summing to 1)
 share one closeness rule, close_to: true equality for exact values,
-MASS_SUM_TOL otherwise.
+MASS_SUM_TOL otherwise.  Numbers leave the library through one rule:
+to_json for JSON documents, csv_cell for CSV cells.
 """
 
 from __future__ import annotations
@@ -100,24 +101,42 @@ def parse_number(obj) -> Number:
     raise TypeError(f"cannot interpret {obj!r} as a number")
 
 
-def format_number(x: Number):
-    """Inverse of parse_number for JSON output.
+def to_json(x):
+    """JSON-ready copy of x, the inverse of parse_number on numbers.
 
-    Exact non-integers serialize as "p/q" strings so round-trips stay
-    exact; floats keep 17 significant digits.
+    A whole Fraction becomes an int and any other Fraction a "p/q"
+    string, so exact values round-trip.  Tuples and lists become lists
+    and dicts are copied.  Everything else passes through: ints, bools,
+    None and strings as they are, and floats too, since json writes a
+    float as its repr, which round-trips every double.  Types are matched
+    exactly, not with isinstance: an isinstance test against Fraction on
+    every int would cost more than the rest of the walk.
     """
-    if isinstance(x, bool):
-        raise TypeError("boolean is not a number")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
+    t = type(x)
+    if t is Fraction:
         if x.denominator == 1:
-            return int(x)
+            return x.numerator
         return f"{x.numerator}/{x.denominator}"
-    return float(format_float(x))
+    if t is tuple or t is list:
+        return [to_json(v) for v in x]
+    if t is dict:
+        return {k: to_json(v) for k, v in x.items()}
+    return x
+
+
+def csv_cell(x) -> str:
+    """CSV text of one value: empty for None, true/false for a bool,
+    decimal for an int, format_float for any other number."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    return format_float(x)
 
 
 def format_float(x: Number) -> str:
-    """CSV cell of a number as a float with 17 significant digits, enough
-    to round-trip a double."""
+    """A number as a float with 17 significant digits, enough to
+    round-trip a double."""
     return f"{float(x):.17g}"

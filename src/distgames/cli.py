@@ -23,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import errors
-from ._numeric import format_number, parse_number
+from ._numeric import parse_number, to_json
 from .construct import (alternating_moment_pair, geometric_tail_family,
                         shift_construction, verify_alternation_certificate,
                         verify_cdf_alternation)
@@ -53,11 +53,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(to_json(obj), sort_keys=True))
 
 
 # ---------------------------------------------------------------- documents
@@ -70,6 +73,9 @@ def parse_game_document(doc):
     zero_sum = doc.get("zero_sum", False)
     if not isinstance(zero_sum, bool):
         raise ValueError(f"zero_sum must be true or false, not {zero_sum!r}")
+    for key in ("rows", "cols", "dim"):
+        if doc.get(key) is not None and type(doc[key]) is not int:
+            raise ValueError(f"{key} must be an integer, not {doc[key]!r}")
     if "A" not in doc:
         raise ValueError("game document lacks payoff array A")
     A = doc["A"]
@@ -109,43 +115,28 @@ def parse_game_document(doc):
 
 def game_to_document(G) -> dict:
     """Inverse of parse_game_document, exact for rational payoffs."""
-    n1, n2 = shape(G)
-    doc = {"rows": n1, "cols": n2}
+    A, B = G.A, G.B
     if isinstance(G, BimatrixGame):
-        doc["type"] = "bimatrix"
-        doc["zero_sum"] = G.zero_sum
-        doc["A"] = [[format_number(v) for v in row] for row in G.A]
-        doc["B"] = [[format_number(v) for v in row] for row in G.B]
+        doc = {"type": "bimatrix", "zero_sum": G.zero_sum}
     elif isinstance(G, VectorBimatrixGame):
-        doc["type"] = "vector"
-        doc["dim"] = G.dim
-        doc["zero_sum"] = negates(G.A, G.B)
-        doc["A"] = [[[format_number(v) for v in cell] for cell in row]
-                    for row in G.A]
-        doc["B"] = [[[format_number(v) for v in cell] for cell in row]
-                    for row in G.B]
+        doc = {"type": "vector", "dim": G.dim, "zero_sum": negates(A, B)}
     elif isinstance(G, DistributionBimatrixGame):
-        doc["type"] = "distribution"
-        doc["zero_sum"] = G.zero_sum
-        doc["A"] = [[distribution_to_json(cell) for cell in row] for row in G.A]
-        doc["B"] = [[distribution_to_json(cell) for cell in row] for row in G.B]
+        doc = {"type": "distribution", "zero_sum": G.zero_sum}
+        A, B = ([[distribution_to_json(cell) for cell in row] for row in M]
+                for M in (A, B))
     else:
         raise TypeError(f"not a game: {G!r}")
-    return doc
-
-
-def _payoff_json(p):
-    if isinstance(p, tuple):
-        return [format_number(v) for v in p]
-    return format_number(p)
+    doc["rows"], doc["cols"] = shape(G)
+    doc["A"], doc["B"] = A, B
+    return to_json(doc)
 
 
 def _report_json(rep: EquilibriumReport) -> dict:
     return {
-        "x": [format_number(v) for v in rep.profile.x],
-        "y": [format_number(v) for v in rep.profile.y],
-        "supports": [list(rep.supports[0]), list(rep.supports[1])],
-        "payoffs": [_payoff_json(p) for p in rep.payoffs],
+        "x": rep.profile.x,
+        "y": rep.profile.y,
+        "supports": rep.supports,
+        "payoffs": rep.payoffs,
         "pure": rep.pure,
     }
 
@@ -169,12 +160,8 @@ def _pure_report(G, i: int, j: int) -> EquilibriumReport:
 
 
 def _sequence_json(S) -> dict:
-    return {
-        "atoms": [format_number(a) for a in S.atoms],
-        "masses": [format_number(m) for m in S.masses],
-        "tail_mass": format_number(S.tail_mass),
-        "bound": format_number(S.bound_b),
-    }
+    return {"atoms": S.atoms, "masses": S.masses, "tail_mass": S.tail_mass,
+            "bound": S.bound_b}
 
 
 def _parse_numbers(text: str, sep: str = ",") -> list:
@@ -225,14 +212,8 @@ def _decision_json(decision) -> dict:
     return {
         "status": decision.status,
         "equilibria": [_report_json(r) for r in decision.equilibria],
-        "candidates_checked": [
-            {
-                "x": [format_number(v) for v in prof.x],
-                "y": [format_number(v) for v in prof.y],
-                "verified": ok,
-            }
-            for prof, ok in decision.candidates_checked
-        ],
+        "candidates_checked": [{"x": prof.x, "y": prof.y, "verified": ok}
+                               for prof, ok in decision.candidates_checked],
         "degenerate": decision.degenerate,
     }
 
@@ -327,23 +308,9 @@ def _cmd_construct_shift(args) -> int:
         _parse_numbers(args.atoms), _parse_numbers(args.masses),
         parse_number(args.bound)
     )
-    out = {
-        "shifted": _sequence_json(shifted),
-        "certificate": [
-            {
-                "term": c.term,
-                "c": format_number(c.c),
-                "atom_ratio": format_number(c.atom_ratio),
-                "mass_floor": format_number(c.mass_floor),
-                "mass_ratio": format_number(c.mass_ratio),
-                "first_moment_ok": c.first_moment_ok,
-                "cdf_above_shifted": c.cdf_above_shifted,
-                "cdf_below_original": c.cdf_below_original,
-            }
-            for c in certs
-        ],
-    }
-    _print_json(out)
+    # certificate field names are the JSON keys; to_json copies the dicts
+    _print_json({"shifted": _sequence_json(shifted),
+                 "certificate": [vars(c) for c in certs]})
     return 0
 
 
@@ -357,20 +324,14 @@ def _cmd_construct_alt(args) -> int:
     if args.csv:
         lines = ["k,lower,upper"]
         for k, (lo, up) in zip(cert.k_indices, cert.bound_checks):
-            lines.append(f"{k},{format_number(lo)},{format_number(up)}")
+            lines.append(f"{k},{to_json(lo)},{to_json(up)}")
         print("\n".join(lines))
         return 0
-    out = {
-        "x": _sequence_json(x),
-        "y": _sequence_json(y),
-        "certificate": {
-            "k_indices": list(cert.k_indices),
-            "directions": list(cert.directions),
-            "bound_checks": [[format_number(lo), format_number(up)]
-                             for lo, up in cert.bound_checks],
-        },
-        "verified": verify_alternation_certificate(x, y, cert),
-    }
+    # Encode before verifying: numbers past Python's int->str digit limit
+    # then fail here at once instead of after the whole verification.
+    out = to_json({"x": _sequence_json(x), "y": _sequence_json(y),
+                   "certificate": vars(cert)})
+    out["verified"] = verify_alternation_certificate(x, y, cert)
     _print_json(out)
     return 0
 
@@ -386,7 +347,7 @@ def _cmd_momcheck(args) -> int:
     violation = first_violation(s, args.condition, b)
     _print_json({
         "holds": violation is None,
-        "first_violation": None if violation is None else list(violation),
+        "first_violation": violation,
     })
     return 0
 

@@ -18,10 +18,10 @@ from . import errors
 from ._numeric import (
     Number,
     cmp,
-    format_number,
     parse_number,
     reject_non_finite,
     sums_to_one,
+    to_json,
 )
 
 
@@ -368,10 +368,7 @@ def partition_from_utility(u: Callable[[float], float], a: Number, b: Number,
 
 def distribution_to_json(P: DiscreteDistribution) -> dict:
     """JSON-ready dict with exact values as "p/q" strings."""
-    return {
-        "atoms": [format_number(a) for a in P.atoms],
-        "masses": [format_number(w) for w in P.masses],
-    }
+    return to_json({"atoms": P.atoms, "masses": P.masses})
 
 
 def distribution_from_json(obj: dict) -> DiscreteDistribution:

@@ -7,7 +7,8 @@ tuples.  All indices are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import errors
@@ -107,7 +108,7 @@ def new_vector_game(A, B, dim: int | None = None) -> VectorBimatrixGame:
         raise errors.DimensionMismatch("matrix must be non-empty")
     if len(Af) != len(Bf) or len(Af[0]) != len(Bf[0]):
         raise errors.DimensionMismatch("A and B must have the same shape")
-    d = dim if dim is not None else len(Af[0][0])
+    d = operator.index(dim) if dim is not None else len(Af[0][0])
     for M in (Af, Bf):
         for row in M:
             if len(row) != len(Af[0]):
@@ -194,11 +195,7 @@ def subgame(G, I: Sequence[int], J: Sequence[int]):
     J = _clean_indices(J, n2, "column")
     A = tuple(tuple(G.A[i][j] for j in J) for i in I)
     B = tuple(tuple(G.B[i][j] for j in J) for i in I)
-    if isinstance(G, VectorBimatrixGame):
-        return VectorBimatrixGame(A, B, G.dim)
-    if isinstance(G, DistributionBimatrixGame):
-        return DistributionBimatrixGame(A, B, G.zero_sum)
-    return BimatrixGame(A, B, G.zero_sum)
+    return replace(G, A=A, B=B)
 
 
 def common_support(G: DistributionBimatrixGame) -> tuple:

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import errors
-from ._numeric import DEFAULT_TOL, format_float
+from ._numeric import DEFAULT_TOL, csv_cell
 from .game_core import BimatrixGame, new_bimatrix, new_vector_game, projection
 from .rlex_solve import EQUILIBRIA, INDETERMINATE, decide_rlex_equilibria
 from .solve_real import pure_equilibria
@@ -425,16 +425,6 @@ def estimate_rlex_probability(m: int, n: int, dim: int, zero_sum: bool,
             nonpure_found, indeterminate)
 
 
-def _csv_num(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
-
-
 def mc_csv(m: int, n: int, dim: Optional[int], zero_sum: bool, seed: int,
            summary: TrialSummary, nonpure_found: Optional[int] = None,
            indeterminate: Optional[int] = None) -> str:
@@ -443,4 +433,4 @@ def mc_csv(m: int, n: int, dim: Optional[int], zero_sum: bool, seed: int,
     row = [m, n, dim, zero_sum, summary.trials, seed, summary.hits,
            summary.estimate, summary.ci95_halfwidth, summary.reference,
            nonpure_found, indeterminate]
-    return MC_CSV_HEADER + "\n" + ",".join(_csv_num(v) for v in row) + "\n"
+    return MC_CSV_HEADER + "\n" + ",".join(map(csv_cell, row)) + "\n"

@@ -21,15 +21,12 @@ FiniteSequence = Tuple[Fraction, ...]
 def _exactify(s: Sequence) -> FiniteSequence:
     if len(s) == 0:
         raise errors.TooShort("empty sequence")
-    return tuple(Fraction(x) for x in s)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in s)
 
 
 def delta(s: Sequence) -> FiniteSequence:
     """Successive differences (s_1 - s_0, s_2 - s_1, ...); length drops by 1."""
-    t = _exactify(s)
-    if len(t) < 2:
-        raise errors.TooShort("need at least two entries to difference")
-    return tuple(t[i + 1] - t[i] for i in range(len(t) - 1))
+    return delta_b(s, 1)
 
 
 def delta_b(s: Sequence, b) -> FiniteSequence:
@@ -37,45 +34,42 @@ def delta_b(s: Sequence, b) -> FiniteSequence:
     t = _exactify(s)
     if len(t) < 2:
         raise errors.TooShort("need at least two entries to difference")
+    if b == 1:      # skip the products, which double the cost
+        return tuple(u - v for v, u in zip(t, t[1:]))
     bf = Fraction(b)
-    return tuple(t[i + 1] - bf * t[i] for i in range(len(t) - 1))
+    return tuple(u - bf * v for v, u in zip(t, t[1:]))
 
 
 def _triangle_violation(s: Sequence, b, signed: bool) -> Optional[Tuple[int, int]]:
     """First (n, k) in the finite difference triangle where the condition
     (-1)^k (D^k s)_n >= 0 (signed) or (D^k s)_n >= 0 (unsigned) breaks.
 
-    D is delta when b is None, else delta_b.  Scans k outward, n inward,
+    D is delta_b (b = 1 gives delta).  Scans k outward, n inward,
     covering every n, k with n + k < len(s).  None means no violation.
     """
     row = _exactify(s)
-    bf = None if b is None else Fraction(b)
     k = 0
-    while row:
+    while True:
         sign = -1 if (signed and k % 2 == 1) else 1
         for n, v in enumerate(row):
             if sign * v < 0:
                 return (n, k)
         if len(row) == 1:
-            break
-        if bf is None:
-            row = tuple(row[i + 1] - row[i] for i in range(len(row) - 1))
-        else:
-            row = tuple(row[i + 1] - bf * row[i] for i in range(len(row) - 1))
+            return None
+        row = delta_b(row, b)
         k += 1
-    return None
 
 
 def check_completely_monotonic(s: Sequence) -> bool:
     """Necessary condition for a [0,1]-supported moment sequence:
     (-1)^k (delta^k s)_n >= 0 over the whole finite triangle."""
-    return _triangle_violation(s, None, signed=True) is None
+    return _triangle_violation(s, 1, signed=True) is None
 
 
 def check_nonneg_differences(s: Sequence) -> bool:
     """Necessary condition for a [1,b]-supported moment sequence:
     every iterated difference is non-negative."""
-    return _triangle_violation(s, None, signed=False) is None
+    return _triangle_violation(s, 1, signed=False) is None
 
 
 def check_interval_condition(s: Sequence, b) -> bool:
@@ -92,9 +86,9 @@ def first_violation(s: Sequence, condition: str, b=None) -> Optional[Tuple[int, 
     condition is "cm", "nonneg" or "interval" (the latter needs b).
     """
     if condition == "cm":
-        return _triangle_violation(s, None, signed=True)
+        return _triangle_violation(s, 1, signed=True)
     if condition == "nonneg":
-        return _triangle_violation(s, None, signed=False)
+        return _triangle_violation(s, 1, signed=False)
     if condition == "interval":
         if b is None:
             raise ValueError("interval condition needs b")

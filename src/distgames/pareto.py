@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import errors
-from ._numeric import all_exact, format_float
+from ._numeric import all_exact, csv_cell
 from .dist import as_partition, segment_expectations
 from .game_core import (
     BimatrixGame,
@@ -200,14 +200,9 @@ def sweep_csv(G: VectorBimatrixGame, records: Sequence[SweepRecord]) -> str:
             + ["u1", "u2"])
     lines = [",".join(cols)]
     for rec in records:
-        row = [str(rec.trial)]
-        row += [format_float(v) for v in rec.w1]
-        row += [format_float(v) for v in rec.w2]
-        if rec.report is None:
-            row += [""] * (n1 + n2 + 2)
-        else:
-            row += [format_float(v) for v in rec.report.profile.x]
-            row += [format_float(v) for v in rec.report.profile.y]
-            row += [format_float(u) for u in rec.report.payoffs]
-        lines.append(",".join(row))
+        rep = rec.report
+        tail = ((None,) * (n1 + n2 + 2) if rep is None
+                else (*rep.profile.x, *rep.profile.y, *rep.payoffs))
+        lines.append(",".join(map(csv_cell, (rec.trial, *rec.w1, *rec.w2,
+                                             *tail))))
     return "\n".join(lines) + "\n"

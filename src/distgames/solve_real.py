@@ -58,10 +58,6 @@ class FPRecord:
     payoff1: float
 
 
-def _frac_matrix(M) -> list:
-    return [[Fraction(v) for v in row] for row in M]
-
-
 def pure_equilibria(G: BimatrixGame) -> List[Tuple[int, int]]:
     """Cells (i, j) with A[i][j] maximal in column j and B[i][j] maximal
     in row i, in row-major order."""
@@ -100,9 +96,9 @@ def best_response_set(G: BimatrixGame, player: int, opponent_mix: Sequence) -> s
     """Pure strategies of `player` maximizing payoff against the given
     opponent mix.  Decided in exact rational arithmetic; pure_payoffs
     checks the player and the mix length."""
-    # convert only the matrix in use: a Fraction per cell is the main cost
-    F = (replace(G, A=_frac_matrix(G.A)) if player == 1
-         else replace(G, B=_frac_matrix(G.B)))
+    # scale only the matrix in use; a positive factor keeps the argmax
+    F = (replace(G, A=scale_to_integers(G.A)[0]) if player == 1
+         else replace(G, B=scale_to_integers(G.B)[0]))
     scores = pure_payoffs(F, player, [Fraction(v) for v in opponent_mix])
     top = max(scores)
     return {i for i, s in enumerate(scores) if s == top}

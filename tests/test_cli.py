@@ -9,6 +9,7 @@ wired up.
 import json
 import random
 import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -591,3 +592,82 @@ class TestFpCsvAgainstCellWriter:
                                               record_every=every)
                     assert (rc, err) == (0, "")
                     assert out == cell_by_cell_fp_csv(G, records)
+
+
+class TestNestingAndFieldTypes:
+    """A JSON document nested past the parser's depth, and a non-integer
+    rows, cols or dim field, end in exit 1 with one error line."""
+
+    @pytest.fixture()
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        return str(path)
+
+    def test_deep_game_document(self, deep, capsys):
+        assert_rejected(["solve", "--input", deep], capsys)
+
+    def test_deep_distribution(self, deep, docs, capsys):
+        assert_rejected(["compare", "--order", "exp", "--p1", deep,
+                         "--p2", docs["half13.json"]], capsys)
+
+    def test_deep_moment_sequence(self, deep, capsys):
+        assert_rejected(["momcheck", "--seq", deep, "--condition", "cm"],
+                        capsys)
+
+    @staticmethod
+    def _vector_doc(tmp_path, **fields):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"type": "vector",
+                                    "A": [[[1, 0], [0, 1]]],
+                                    "B": [[[0, 1], [1, 0]]], **fields}))
+        return str(path)
+
+    @staticmethod
+    def _names_the_field(argv, key, value, capsys):
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {key} must be an integer, not {value!r}\n"
+
+    def test_float_dim_in_rlex_decide(self, tmp_path, capsys):
+        self._names_the_field(["rlex-decide", "--input",
+                               self._vector_doc(tmp_path, dim=2.0)],
+                              "dim", 2.0, capsys)
+
+    def test_float_dim_in_sweep(self, tmp_path, capsys):
+        self._names_the_field(["sweep", "--input",
+                               self._vector_doc(tmp_path, dim=2.0),
+                               "--samples", "2", "--seed", "1"],
+                              "dim", 2.0, capsys)
+
+    def test_boolean_dim(self, tmp_path, capsys):
+        self._names_the_field(["rlex-decide", "--input",
+                               self._vector_doc(tmp_path, dim=True)],
+                              "dim", True, capsys)
+
+    @pytest.mark.parametrize("key, value", [("rows", "2"), ("cols", 2.0),
+                                            ("rows", True)])
+    def test_mistyped_shape_field(self, key, value, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"type": "bimatrix", "A": [[1, 0], [0, 1]],
+                                    "B": [[0, 1], [1, 0]], key: value}))
+        self._names_the_field(["solve", "--input", str(path)], key, value,
+                              capsys)
+
+
+def test_alt_moments_past_the_digit_limit_fails_before_verifying(monkeypatch,
+                                                                 capsys):
+    """The certificate is encoded before it is verified, so a request whose
+    numbers pass Python's int->str digit limit fails without paying for
+    the verification."""
+    calls = []
+    monkeypatch.setattr(cli, "verify_alternation_certificate",
+                        lambda *args: calls.append(args) or True)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert_rejected(["construct", "alt-moments", "--a", "1", "--b", "2",
+                         "--terms", "5"], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert calls == []

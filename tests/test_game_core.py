@@ -250,3 +250,32 @@ class TestNonFiniteEntries:
         assert V.A == (((1e308, 5e-324),),)
         P = dg.new_distribution([5e-324, 1e308], [0.5, 0.5])
         assert P.atoms == (5e-324, 1e308)
+
+
+class TestSubgameKeepsTheGameKind:
+    def test_vector_game_keeps_its_dimension(self, coordination_game):
+        H = dg.subgame(coordination_game, [2, 0], [1])
+        assert type(H) is dg.VectorBimatrixGame
+        assert H.dim == coordination_game.dim
+        assert H.A == ((coordination_game.A[0][1],), (coordination_game.A[2][1],))
+
+    def test_distribution_game_keeps_zero_sum(self):
+        P, Q = dg.dirac(1), dg.new_distribution([1, 2], [F(1, 2), F(1, 2)])
+        G = dg.new_distribution_game([[P, Q], [Q, P]], zero_sum=True)
+        H = dg.subgame(G, [1], [0, 1])
+        assert type(H) is dg.DistributionBimatrixGame
+        assert H.zero_sum and H.A == H.B == ((Q, P),)
+
+    def test_bimatrix_keeps_zero_sum(self, rps):
+        H = dg.subgame(rps, [0], [1, 2])
+        assert type(H) is dg.BimatrixGame
+        assert H.zero_sum and H.B == ((1, -1),)
+
+
+class TestVectorDimension:
+    def test_dimension_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            dg.new_vector_game([[(1, 0)]], [[(0, 1)]], 2.0)
+
+    def test_integer_dimension_accepted(self):
+        assert dg.new_vector_game([[(1, 0)]], [[(0, 1)]], 2).dim == 2

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import distgames as dg
 from distgames import errors
-from distgames._numeric import (MASS_SUM_TOL, close_to, format_float,
-                                scale_to_integers, sums_to_one)
+from distgames._numeric import (MASS_SUM_TOL, close_to, csv_cell,
+                                format_float, scale_to_integers, sums_to_one,
+                                to_json)
 
 import oracles
 
@@ -243,3 +244,37 @@ def test_dyadic_float_game_matches_fraction_twin(case):
     for i, j in dg.pure_equilibria(Gq):
         for G in (Gf, Gq):
             assert dg.is_epsilon_equilibrium(G, dg.pure_profile(i, j, n1, n2), 0)
+
+
+class TestOutputEncoders:
+    """to_json and csv_cell, the one number rule of every writer."""
+
+    def test_whole_fraction_becomes_an_int(self):
+        out = to_json(F(6, 3))
+        assert out == 2 and type(out) is int
+        assert to_json(F(-3, 4)) == "-3/4"
+
+    def test_nested_tuples_become_lists(self):
+        assert to_json(((F(1, 2), 1), [(F(4, 2),)], ())) == \
+            [["1/2", 1], [[2]], []]
+
+    def test_dicts_are_copied(self):
+        doc = {"x": (F(1, 3),), "n": {"k": F(5)}}
+        out = to_json(doc)
+        assert out == {"x": ["1/3"], "n": {"k": 5}}
+        assert out is not doc and doc["x"] == (F(1, 3),)
+
+    @pytest.mark.parametrize("v", [True, False, None, "1/2", 7, 0.1, -0.0,
+                                   1e300, 5e-324, -2.5e-300])
+    def test_scalars_pass_through(self, v):
+        assert to_json(v) is v
+
+    def test_csv_cells(self):
+        assert csv_cell(True) == "true"
+        assert csv_cell(False) == "false"
+        assert csv_cell(None) == ""
+        assert csv_cell(12345678901234567890) == "12345678901234567890"
+        assert csv_cell(F(1, 4)) == "0.25"
+        for v in (0.1, -0.0, 1e300, 5e-324, 1 / 3):
+            assert csv_cell(v) == format_float(v)
+            assert float(csv_cell(v)) == v

@@ -37,3 +37,49 @@ def test_no_private_imports_across_modules():
     found = {path.name: private_imports(path.read_text(encoding="utf-8"))
              for path in modules}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def writer_calls(source: str) -> list:
+    """(enclosing function, name) for every call of format_float or dumps
+    in source; the name is the last part of the called expression."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call):
+                name = ast.unparse(child.func).rsplit(".", 1)[-1]
+                if name in ("format_float", "dumps"):
+                    out.append((func, name))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_writer_rule_catches_calls_anywhere():
+    source = ("import json\n"
+              "x = json.dumps({})\n"
+              "def f(v):\n"
+              "    def g():\n"
+              "        return _numeric.format_float(v)\n"
+              "    return [format_float(v)], g\n")
+    assert writer_calls(source) == [(None, "dumps"), ("g", "format_float"),
+                                    ("f", "format_float")]
+
+
+def test_one_json_writer_and_one_number_formatter():
+    """Numbers reach JSON only through cli._print_json (which applies
+    _numeric.to_json) and CSV only through _numeric (csv_cell)."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for func, name in writer_calls(path.read_text(encoding="utf-8")):
+            if name == "format_float" and path.name == "_numeric.py":
+                continue
+            if name == "dumps" and (path.name, func) == ("cli.py",
+                                                         "_print_json"):
+                continue
+            stray.append((path.name, func, name))
+    assert stray == []
