@@ -276,6 +276,3 @@ class TestVectorDimension:
     def test_dimension_must_be_an_integer(self):
         with pytest.raises(TypeError):
             dg.new_vector_game([[(1, 0)]], [[(0, 1)]], 2.0)
-
-    def test_integer_dimension_accepted(self):
-        assert dg.new_vector_game([[(1, 0)]], [[(0, 1)]], 2).dim == 2
