@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import distgames as dg
 from distgames import errors
-from distgames._numeric import (MASS_SUM_TOL, close_to, csv_cell,
-                                format_float, scale_to_integers, sums_to_one,
-                                to_json)
+from distgames._numeric import (DEFAULT_TOL, MASS_SUM_TOL, close_to, cmp,
+                                csv_cell, format_float, scale_to_integers,
+                                sums_to_one, to_json)
+from distgames.dist import OrderResult
 
 import oracles
 
@@ -118,6 +119,42 @@ class TestClosenessRule:
         for v in (0.1, 1 / 3, -2.5e-300, 1e16 + 2):
             assert float(format_float(v)) == v
         assert format_float(F(1, 4)) == "0.25"
+
+
+class TestOrderTolerance:
+    """Order comparisons treat floats within DEFAULT_TOL (1e-9) as equal
+    and compare exact values exactly."""
+
+    def test_default_tolerance(self):
+        assert DEFAULT_TOL == 1e-9
+
+    def test_floats_equal_within_tolerance_ordered_beyond(self):
+        assert cmp(1.0, 1.0 + 5e-10) == 0
+        assert cmp(1.0 + 5e-10, 1.0) == 0
+        assert cmp(1, 1.0 + 5e-10) == 0
+        assert cmp(1.0, 1.0 + 2e-9) == -1
+        assert cmp(1.0 + 2e-9, 1.0) == 1
+
+    def test_exact_inputs_stay_exact(self):
+        assert cmp(0, F(1, 10 ** 12)) == -1
+        assert cmp(F(1, 10 ** 12), 0) == 1
+        assert cmp(F(1, 3), F(2, 6)) == 0
+
+    def test_rlex_falls_through_a_top_difference_within_tolerance(self):
+        assert dg.rlex_compare((1, 0.5), (2, 0.5 + 5e-10)) is OrderResult.LESS
+        assert dg.rlex_compare((2, 0.5 + 5e-10), (1, 0.5)) \
+            is OrderResult.GREATER
+        assert dg.rlex_compare((1, F(1, 2)), (2, F(1, 2) - F(1, 10 ** 12))) \
+            is OrderResult.GREATER
+
+    def test_float_distributions_within_tolerance_compare_equal(self):
+        P1 = dg.new_distribution([1.0, 2.0], [0.5, 0.5])
+        P2 = dg.new_distribution([1.0, 2.0], [0.5 - 1e-10, 0.5 + 1e-10])
+        assert dg.compare_expectation(P1, P2) is OrderResult.EQUAL
+        assert dg.tail_compare(P1, P2) is OrderResult.EQUAL
+        P3 = dg.new_distribution([1.0, 2.0], [0.5 - 1e-6, 0.5 + 1e-6])
+        assert dg.compare_expectation(P1, P3) is OrderResult.LESS
+        assert dg.tail_compare(P1, P3) is OrderResult.LESS
 
 
 class TestIntegerScaling:
