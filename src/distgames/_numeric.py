@@ -3,8 +3,8 @@
 Values are plain Python numbers.  int and Fraction are the exact backend;
 float is the approximate one.  An operation is exact when every input is
 exact, and comparisons then use true equality.  As soon as a float is
-involved, comparisons fall back to an absolute tolerance (default 1e-9,
-overridable per call).  Structural checks (B = -A, weights summing to 1)
+involved, comparisons fall back to the absolute tolerance DEFAULT_TOL
+(1e-9), which is set here and nowhere else.  Structural checks (B = -A, weights summing to 1)
 share one closeness rule, close_to: true equality for exact values,
 MASS_SUM_TOL otherwise.  Numbers leave the library through one rule:
 to_json for JSON documents, csv_cell for CSV cells.
@@ -40,19 +40,18 @@ def scale_to_integers(rows: Sequence[Sequence[Number]]
     return [[f.numerator * (d // f.denominator) for f in row] for row in fs], d
 
 
-def cmp(a: Number, b: Number, tol: float | None = None) -> int:
+def cmp(a: Number, b: Number) -> int:
     """Three-way compare. Returns -1, 0 or 1.
 
     Exact inputs compare exactly; otherwise equality means
-    |a - b| <= tol.
+    |a - b| <= DEFAULT_TOL.
     """
     if is_exact(a) and is_exact(b):
         if a == b:
             return 0
         return -1 if a < b else 1
-    t = DEFAULT_TOL if tol is None else tol
     d = float(a) - float(b)
-    if abs(d) <= t:
+    if abs(d) <= DEFAULT_TOL:
         return 0
     return -1 if d < 0 else 1
 

@@ -164,8 +164,8 @@ def _sequence_json(S) -> dict:
             "bound": S.bound_b}
 
 
-def _parse_numbers(text: str, sep: str = ",") -> list:
-    return [parse_number(tok.strip()) for tok in text.split(sep) if tok.strip()]
+def _parse_numbers(text: str) -> list:
+    return [parse_number(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _load_game(args, cls, what: str):

@@ -43,10 +43,6 @@ class DiscreteDistribution:
     atoms: tuple
     masses: tuple
 
-    @property
-    def support(self) -> tuple:
-        return self.atoms
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -184,15 +180,15 @@ def cdf(P: DiscreteDistribution, x: Number) -> Number:
     return total
 
 
-def compare_expectation(P1: DiscreteDistribution, P2: DiscreteDistribution,
-                        tol: float | None = None) -> OrderResult:
+def compare_expectation(P1: DiscreteDistribution,
+                        P2: DiscreteDistribution) -> OrderResult:
     """Order by first moment. Total but not antisymmetric."""
-    c = cmp(moment(P1, 1), moment(P2, 1), tol)
+    c = cmp(moment(P1, 1), moment(P2, 1))
     return (OrderResult.LESS, OrderResult.EQUAL, OrderResult.GREATER)[c + 1]
 
 
-def compare_usual_stochastic(P1: DiscreteDistribution, P2: DiscreteDistribution,
-                             tol: float | None = None) -> OrderResult:
+def compare_usual_stochastic(P1: DiscreteDistribution,
+                             P2: DiscreteDistribution) -> OrderResult:
     """Usual stochastic order via pointwise cdf dominance.
 
     P1 is Less than P2 when F1 >= F2 everywhere with strict inequality
@@ -204,7 +200,7 @@ def compare_usual_stochastic(P1: DiscreteDistribution, P2: DiscreteDistribution,
     saw_f1_above = False
     saw_f2_above = False
     for x in grid:
-        c = cmp(cdf(P1, x), cdf(P2, x), tol)
+        c = cmp(cdf(P1, x), cdf(P2, x))
         if c > 0:
             saw_f1_above = True
         elif c < 0:
@@ -218,8 +214,7 @@ def compare_usual_stochastic(P1: DiscreteDistribution, P2: DiscreteDistribution,
     return OrderResult.EQUAL
 
 
-def rlex_compare(v1: Sequence[Number], v2: Sequence[Number],
-                 tol: float | None = None) -> OrderResult:
+def rlex_compare(v1: Sequence[Number], v2: Sequence[Number]) -> OrderResult:
     """Reflected lexicographic order: compare coordinates from the last
     index down, first difference decides. Total and antisymmetric.
     """
@@ -228,7 +223,7 @@ def rlex_compare(v1: Sequence[Number], v2: Sequence[Number],
             f"vectors have lengths {len(v1)} and {len(v2)}"
         )
     for i in range(len(v1) - 1, -1, -1):
-        c = cmp(v1[i], v2[i], tol)
+        c = cmp(v1[i], v2[i])
         if c < 0:
             return OrderResult.LESS
         if c > 0:
@@ -248,8 +243,7 @@ def common_support_mass_vectors(P1: DiscreteDistribution, P2: DiscreteDistributi
     return grid, mass_vector(P1, grid), mass_vector(P2, grid)
 
 
-def tail_compare(P1: DiscreteDistribution, P2: DiscreteDistribution,
-                 tol: float | None = None) -> OrderResult:
+def tail_compare(P1: DiscreteDistribution, P2: DiscreteDistribution) -> OrderResult:
     """Moment-tail order, decided on the common support.
 
     For finite supports contained in [1, oo) the tail order coincides
@@ -261,7 +255,7 @@ def tail_compare(P1: DiscreteDistribution, P2: DiscreteDistribution,
     if lo < 1:
         raise errors.SupportBelowOne(f"smallest atom {lo} is below 1")
     _, v1, v2 = common_support_mass_vectors(P1, P2)
-    return rlex_compare(v1, v2, tol)
+    return rlex_compare(v1, v2)
 
 
 def segment_expectations(P: DiscreteDistribution, I) -> tuple:
@@ -298,8 +292,8 @@ def cumulative_tail_expectations(P: DiscreteDistribution, I) -> tuple:
     return tuple(reversed(out))
 
 
-def tweakable_compare(P1: DiscreteDistribution, P2: DiscreteDistribution, I,
-                      tol: float | None = None) -> OrderResult:
+def tweakable_compare(P1: DiscreteDistribution, P2: DiscreteDistribution,
+                      I) -> OrderResult:
     """Reflected lexicographic order on cumulative tail expectations.
 
     Both supports must lie inside the partition range; unlike
@@ -314,7 +308,7 @@ def tweakable_compare(P1: DiscreteDistribution, P2: DiscreteDistribution, I,
             )
     e1 = cumulative_tail_expectations(P1, part)
     e2 = cumulative_tail_expectations(P2, part)
-    return rlex_compare(e1, e2, tol)
+    return rlex_compare(e1, e2)
 
 
 def partition_from_utility(u: Callable[[float], float], a: Number, b: Number,

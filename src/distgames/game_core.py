@@ -102,17 +102,11 @@ def new_bimatrix(A, B=None, zero_sum: bool = False) -> BimatrixGame:
 
 def new_vector_game(A, B, dim: int | None = None) -> VectorBimatrixGame:
     """Build a vector-payoff game; every cell must have the same length."""
-    Af = tuple(tuple(tuple(cell) for cell in row) for row in A)
-    Bf = tuple(tuple(tuple(cell) for cell in row) for row in B)
-    if not Af or not Af[0]:
-        raise errors.DimensionMismatch("matrix must be non-empty")
-    if len(Af) != len(Bf) or len(Af[0]) != len(Bf[0]):
-        raise errors.DimensionMismatch("A and B must have the same shape")
+    Af, Bf = (tuple(tuple(tuple(cell) for cell in row) for row in M)
+              for M in _freeze_pair(A, B, False, None))
     d = operator.index(dim) if dim is not None else len(Af[0][0])
     for M in (Af, Bf):
         for row in M:
-            if len(row) != len(Af[0]):
-                raise errors.DimensionMismatch("matrix rows must have equal length")
             for cell in row:
                 if len(cell) != d:
                     raise errors.DimensionMismatch(

@@ -75,12 +75,6 @@ def formula_pure_bimatrix(m: int, n: int) -> Fraction:
     return 1 - total
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # trial t's stream; estimate_pure_probability computes the same
-    # streams a batch of trials at a time (_trial_uniforms)
-    return np.random.default_rng((seed, trial))
-
-
 def random_bimatrix(m: int, n: int, zero_sum: bool,
                     rng: np.random.Generator) -> BimatrixGame:
     """Scalar game with iid uniform(0,1) entries; the column player's
@@ -198,7 +192,7 @@ def _trial_uniforms(seed, start: int, stop: int, k: int,
     through default_rng itself, which also raises its own errors."""
     if (not isinstance(seed, (int, np.integer)) or seed < 0
             or stop > 1 << 32):
-        return np.array([_trial_rng(seed, t).random(k)
+        return np.array([np.random.default_rng((seed, t)).random(k)
                          for t in range(start, stop)])
     (p_hi, p_lo), (d_hi, d_lo) = jump or _jump_constants(k)
     t = np.arange(start, stop, dtype=np.uint64)
@@ -295,7 +289,7 @@ _RLEX_MARGIN = 2.0 ** -40
 def _rlex_greater(D: np.ndarray) -> np.ndarray:
     """rlex_compare(d, u) is GREATER, for differences D = d - u along the
     last axis: the highest coordinate with |D| > DEFAULT_TOL decides, as
-    cmp decides with its default tolerance."""
+    in cmp."""
     greater = np.zeros(D.shape[:-1], dtype=bool)
     for c in range(D.shape[-1]):    # a higher coordinate overrides
         off = np.abs(D[..., c]) > DEFAULT_TOL

@@ -63,27 +63,25 @@ def _triangle_violation(s: Sequence, b, signed: bool) -> Optional[Tuple[int, int
 def check_completely_monotonic(s: Sequence) -> bool:
     """Necessary condition for a [0,1]-supported moment sequence:
     (-1)^k (delta^k s)_n >= 0 over the whole finite triangle."""
-    return _triangle_violation(s, 1, signed=True) is None
+    return first_violation(s, "cm") is None
 
 
 def check_nonneg_differences(s: Sequence) -> bool:
     """Necessary condition for a [1,b]-supported moment sequence:
     every iterated difference is non-negative."""
-    return _triangle_violation(s, 1, signed=False) is None
+    return first_violation(s, "nonneg") is None
 
 
 def check_interval_condition(s: Sequence, b) -> bool:
     """Necessary condition for a [0,b]-supported moment sequence:
     (-1)^k (delta_b^k s)_n >= 0 over the finite triangle."""
-    if Fraction(b) < 0:
-        raise ValueError("b must be non-negative")
-    return _triangle_violation(s, b, signed=True) is None
+    return first_violation(s, "interval", b) is None
 
 
 def first_violation(s: Sequence, condition: str, b=None) -> Optional[Tuple[int, int]]:
     """Locate the first failing (n, k) for one of the three checks.
 
-    condition is "cm", "nonneg" or "interval" (the latter needs b).
+    condition is "cm", "nonneg" or "interval" (the latter needs b >= 0).
     """
     if condition == "cm":
         return _triangle_violation(s, 1, signed=True)
@@ -92,6 +90,8 @@ def first_violation(s: Sequence, condition: str, b=None) -> Optional[Tuple[int, 
     if condition == "interval":
         if b is None:
             raise ValueError("interval condition needs b")
+        if Fraction(b) < 0:
+            raise ValueError("b must be non-negative")
         return _triangle_violation(s, b, signed=True)
     raise ValueError(f"unknown condition {condition!r}")
 

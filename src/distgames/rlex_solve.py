@@ -55,16 +55,14 @@ class RlexDecision:
     degenerate: bool
 
 
-def verify_rlex_equilibrium(G: VectorBimatrixGame, p: MixedProfile,
-                            tol: float | None = None) -> bool:
+def verify_rlex_equilibrium(G: VectorBimatrixGame, p: MixedProfile) -> bool:
     """True iff no pure deviation is RLEX-above the profile payoff for
     either player."""
     return not some_deviation_beats(
-        G, p, lambda d, u: rlex_compare(d, u, tol) is OrderResult.GREATER)
+        G, p, lambda d, u: rlex_compare(d, u) is OrderResult.GREATER)
 
 
-def decide_rlex_equilibria(G: VectorBimatrixGame,
-                           tol: float | None = None) -> RlexDecision:
+def decide_rlex_equilibria(G: VectorBimatrixGame) -> RlexDecision:
     """Decide equilibrium existence through the top-coordinate game.
 
     Candidates are the equilibria the scalar solver finds for the top
@@ -78,7 +76,7 @@ def decide_rlex_equilibria(G: VectorBimatrixGame,
     checked = []
     verified_reports = []
     for rep in outcome.equilibria:
-        ok = verify_rlex_equilibrium(G, rep.profile, tol)
+        ok = verify_rlex_equilibrium(G, rep.profile)
         checked.append((rep.profile, ok))
         if ok:
             verified_reports.append(EquilibriumReport(
@@ -138,8 +136,7 @@ def check_subgame_condition(G: VectorBimatrixGame, p: MixedProfile) -> bool:
     return True
 
 
-def decide_tail_equilibria(G: DistributionBimatrixGame,
-                           tol: float | None = None) -> RlexDecision:
+def decide_tail_equilibria(G: DistributionBimatrixGame) -> RlexDecision:
     """Tail-order equilibrium decision for a distribution game, through
     the mass-vector isomorphism."""
-    return decide_rlex_equilibria(to_probability_vector_game(G), tol)
+    return decide_rlex_equilibria(to_probability_vector_game(G))

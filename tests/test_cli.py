@@ -387,6 +387,10 @@ class TestMomcheckCli:
         assert rc == 1
         assert err.strip().startswith("error:")
 
+    def test_negative_bound_is_rejected(self, docs, capsys):
+        assert_rejected(["momcheck", "--seq", docs["seq.json"],
+                         "--condition", "interval", "--b", "-1"], capsys)
+
 
 class TestErrorHandling:
     def test_missing_file_is_one_stderr_line(self, capsys):

@@ -83,3 +83,34 @@ def test_one_json_writer_and_one_number_formatter():
                 continue
             stray.append((path.name, func, name))
     assert stray == []
+
+
+def tol_parameters(source: str) -> list:
+    """Name of every function in source that takes a parameter named tol."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            if "tol" in names:
+                out.append(getattr(node, "name", "<lambda>"))
+    return out
+
+
+def test_tol_rule_catches_every_parameter_kind():
+    source = ("def f(a, tol=None): pass\n"
+              "def g(a, *, tol): pass\n"
+              "class C:\n"
+              "    def h(self, tol, /): pass\n"
+              "k = lambda tol: tol\n"
+              "def ok(a, b, abs_tol=0): pass\n")
+    assert sorted(tol_parameters(source)) == ["<lambda>", "f", "g", "h"]
+
+
+def test_no_per_call_tolerance():
+    """Order comparisons use _numeric.DEFAULT_TOL and nothing else: no
+    function takes a tol of its own."""
+    found = {path.name: tol_parameters(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}

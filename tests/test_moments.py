@@ -145,6 +145,13 @@ class TestFirstViolation:
     def test_cm_on_growing(self):
         assert dg.first_violation((1, 2, 4), "cm") == (0, 1)
 
+    def test_negative_bound_is_rejected_by_both_entry_points(self):
+        s = perturbed_sequence(4)
+        with pytest.raises(ValueError, match="b must be non-negative"):
+            dg.first_violation(s, "interval", b=-1)
+        with pytest.raises(ValueError, match="b must be non-negative"):
+            dg.check_interval_condition(s, F(-1, 2))
+
 
 class TestDominanceIndex:
     def test_immediate_dominance(self):
