@@ -4,10 +4,10 @@ Values are plain Python numbers.  int and Fraction are the exact backend;
 float is the approximate one.  An operation is exact when every input is
 exact, and comparisons then use true equality.  As soon as a float is
 involved, comparisons fall back to the absolute tolerance DEFAULT_TOL
-(1e-9), which is set here and nowhere else.  Structural checks (B = -A, weights summing to 1)
-share one closeness rule, close_to: true equality for exact values,
-MASS_SUM_TOL otherwise.  Numbers leave the library through one rule:
-to_json for JSON documents, csv_cell for CSV cells.
+(1e-9), which is set here and nowhere else.  Structural checks (B = -A,
+weights summing to 1) share one closeness rule, close_to: true equality
+for exact values, MASS_SUM_TOL otherwise.  Numbers leave the library
+through one rule: to_json for JSON documents, csv_cell for CSV cells.
 """
 
 from __future__ import annotations
