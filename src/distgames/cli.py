@@ -78,30 +78,25 @@ def parse_game_document(doc):
             raise ValueError(f"{key} must be an integer, not {doc[key]!r}")
     if "A" not in doc:
         raise ValueError("game document lacks payoff array A")
-    A = doc["A"]
-    B = doc.get("B")
+
+    def payoffs(read):
+        return (None if M is None else [[read(c) for c in row] for row in M]
+                for M in (doc["A"], doc.get("B")))
 
     if gtype == "bimatrix":
-        Am = [[parse_number(v) for v in row] for row in A]
-        Bm = None if B is None else [[parse_number(v) for v in row] for row in B]
-        G = new_bimatrix(Am, Bm, zero_sum=zero_sum)
+        G = new_bimatrix(*payoffs(parse_number), zero_sum=zero_sum)
     elif gtype == "vector":
-        Am = [[tuple(parse_number(v) for v in cell) for cell in row] for row in A]
+        A, B = payoffs(lambda cell: tuple(parse_number(v) for v in cell))
         if B is None:
             if not zero_sum:
                 raise ValueError("vector document needs B unless zero_sum")
-            Bm = [[tuple(-e for e in cell) for cell in row] for row in Am]
-        else:
-            Bm = [[tuple(parse_number(v) for v in cell) for cell in row]
-                  for row in B]
-            if zero_sum and not negates(Am, Bm):
-                raise errors.NotZeroSum("B is not the negation of A")
-        G = new_vector_game(Am, Bm, doc.get("dim"))
+            B = [[tuple(-e for e in cell) for cell in row] for row in A]
+        elif zero_sum and not negates(A, B):
+            raise errors.NotZeroSum("B is not the negation of A")
+        G = new_vector_game(A, B, doc.get("dim"))
     elif gtype == "distribution":
-        Am = [[distribution_from_json(cell) for cell in row] for row in A]
-        Bm = None if B is None else \
-            [[distribution_from_json(cell) for cell in row] for row in B]
-        G = new_distribution_game(Am, Bm, zero_sum=zero_sum)
+        G = new_distribution_game(*payoffs(distribution_from_json),
+                                  zero_sum=zero_sum)
     else:
         raise ValueError(f"unknown game type {gtype!r}")
 
@@ -115,6 +110,10 @@ def parse_game_document(doc):
 
 def game_to_document(G) -> dict:
     """Inverse of parse_game_document, exact for rational payoffs."""
+    return to_json(_game_document(G))
+
+
+def _game_document(G) -> dict:
     A, B = G.A, G.B
     if isinstance(G, BimatrixGame):
         doc = {"type": "bimatrix", "zero_sum": G.zero_sum}
@@ -128,7 +127,7 @@ def game_to_document(G) -> dict:
         raise TypeError(f"not a game: {G!r}")
     doc["rows"], doc["cols"] = shape(G)
     doc["A"], doc["B"] = A, B
-    return to_json(doc)
+    return doc
 
 
 def _report_json(rep: EquilibriumReport) -> dict:
@@ -254,7 +253,7 @@ def _cmd_compare(args) -> int:
 def _cmd_segment(args) -> int:
     G = _load_game(args, DistributionBimatrixGame, "distribution")
     V = segment_game(G, _parse_numbers(args.partition))
-    _print_json(game_to_document(V))
+    _print_json(_game_document(V))
     return 0
 
 
@@ -263,9 +262,7 @@ def _cmd_pareto(args) -> int:
     parts = args.weights.split(";")
     if len(parts) != 2:
         raise ValueError("--weights must be two ;-separated lists")
-    w1 = _parse_numbers(parts[0])
-    w2 = _parse_numbers(parts[1])
-    outcome = pareto_nash(G, w1, w2)
+    outcome = pareto_nash(G, *map(_parse_numbers, parts))
     _print_json(_outcome_json(outcome))
     return 0
 
@@ -319,7 +316,6 @@ def _cmd_construct_alt(args) -> int:
         parse_number(args.a), parse_number(args.b), args.terms,
         x1=None if args.x1 is None else parse_number(args.x1),
         y1=None if args.y1 is None else parse_number(args.y1),
-        k_cap=args.k_cap,
     )
     if args.csv:
         lines = ["k,lower,upper"]
@@ -445,7 +441,6 @@ def _build_parser() -> _Parser:
     cp.add_argument("--terms", type=int, required=True)
     cp.add_argument("--x1", default=None)
     cp.add_argument("--y1", default=None)
-    cp.add_argument("--k-cap", type=int, default=10 ** 5)
     cp.add_argument("--csv", action="store_true")
     cp.set_defaults(func=_cmd_construct_alt)
 

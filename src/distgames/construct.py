@@ -18,6 +18,7 @@ from ._numeric import scale_to_integers
 
 X_ABOVE_Y = "XaboveY"
 Y_ABOVE_X = "YaboveX"
+_K_CAP = 10 ** 5        # highest moment order _search_k tries
 
 
 @dataclass(frozen=True)
@@ -100,22 +101,11 @@ def verify_cdf_alternation(S1: TruncatedAtomSequence, S2: TruncatedAtomSequence,
         raise ValueError("need upto >= 1")
     if upto > len(S1.atoms) or upto > len(S2.atoms):
         raise ValueError("upto exceeds a sequence's atom count")
-    a1 = set(S1.atoms[:upto])
-    a2 = set(S2.atoms[:upto])
-    overlap = a1 & a2
+    overlap = set(S1.atoms[:upto]) & set(S2.atoms[:upto])
     if overlap:
         raise errors.OverlappingAtoms(f"shared atoms {sorted(overlap)}")
-    for t in S1.atoms[:upto]:
-        lo1, _ = _cdf_interval(S1, t)
-        _, hi2 = _cdf_interval(S2, t)
-        if not lo1 > hi2:
-            return False
-    for t in S2.atoms[:upto]:
-        lo2, _ = _cdf_interval(S2, t)
-        _, hi1 = _cdf_interval(S1, t)
-        if not lo2 > hi1:
-            return False
-    return True
+    return all(_cdf_interval(S, t)[0] > _cdf_interval(T, t)[1]
+               for S, T in ((S1, S2), (S2, S1)) for t in S.atoms[:upto])
 
 
 @dataclass(frozen=True)
@@ -274,7 +264,7 @@ def _loser_upper(v: List[Fraction], n: int, b: Fraction, k: int) -> Fraction:
 
 
 def _search_k(w: List[Fraction], v: List[Fraction], n: int, b: Fraction,
-              k_start: int, k_cap: int) -> int:
+              k_start: int) -> int:
     """Smallest k >= k_start where the winner's bound beats the loser's
     even if the winner's new atom were pushed all the way to b.
 
@@ -286,7 +276,7 @@ def _search_k(w: List[Fraction], v: List[Fraction], n: int, b: Fraction,
     pw = [x ** k for x in W]
     pv = [x ** k for x in V]
     pb = Bi ** k
-    while k <= k_cap:
+    while k <= _K_CAP:
         lhs = sum(2 ** (n + 1 - l) * pv[l - 1] for l in range(1, n + 1)) \
             + pv[n - 1] + pb
         rhs = sum(2 ** (n + 1 - l) * pw[l - 1] for l in range(1, n + 1)) \
@@ -299,7 +289,7 @@ def _search_k(w: List[Fraction], v: List[Fraction], n: int, b: Fraction,
             pv[idx] *= V[idx]
         pb *= Bi
     raise errors.SearchBudgetExceeded(
-        f"no moment order below {k_cap} separates the bounds; raise the cap"
+        f"no moment order up to {_K_CAP} separates the bounds"
     )
 
 
@@ -332,8 +322,7 @@ def _bisect_new_atom(w: List[Fraction], v: List[Fraction], n: int,
     return hi if hi < b else None
 
 
-def alternating_moment_pair(a, b, N: int, x1=None, y1=None,
-                            k_cap: int = 10 ** 5):
+def alternating_moment_pair(a, b, N: int, x1=None, y1=None):
     """Build two sequences whose moment orders alternate in dominance.
 
     Starting from single atoms x1, y1 in [a, b), each step duplicates
@@ -368,19 +357,19 @@ def alternating_moment_pair(a, b, N: int, x1=None, y1=None,
             w, v, dname = xs, ys, X_ABOVE_Y
         else:
             w, v, dname = ys, xs, Y_ABOVE_X
-        k_min = _search_k(w, v, n, bf, k_prev + 1, k_cap)
+        k_min = _search_k(w, v, n, bf, k_prev + 1)
         # At the minimal order the whole valid atom range hugs b, which
         # makes the next step's order explode.  Doubling the order puts
         # the bound term firmly in charge, so the new atom can sit a
         # healthy distance below b and later orders grow geometrically
         # instead.
-        k = _search_k(w, v, n, bf, 2 * k_min, k_cap)
+        k = _search_k(w, v, n, bf, 2 * k_min)
         while True:
             c = _bisect_new_atom(w, v, n, bf, k)
             if c is not None:
                 break
             # threshold hugged the bound; a larger order widens the gap
-            k = _search_k(w, v, n, bf, k + 1, k_cap)
+            k = _search_k(w, v, n, bf, k + 1)
         v.append(v[-1])
         w.append(c)
         k_list.append(k)

@@ -197,19 +197,12 @@ def compare_usual_stochastic(P1: DiscreteDistribution,
     Incomparable.
     """
     grid = sorted(set(P1.atoms) | set(P2.atoms))
-    saw_f1_above = False
-    saw_f2_above = False
-    for x in grid:
-        c = cmp(cdf(P1, x), cdf(P2, x))
-        if c > 0:
-            saw_f1_above = True
-        elif c < 0:
-            saw_f2_above = True
-    if saw_f1_above and saw_f2_above:
+    signs = {cmp(cdf(P1, x), cdf(P2, x)) for x in grid}
+    if {-1, 1} <= signs:
         return OrderResult.INCOMPARABLE
-    if saw_f1_above:
+    if 1 in signs:
         return OrderResult.LESS
-    if saw_f2_above:
+    if -1 in signs:
         return OrderResult.GREATER
     return OrderResult.EQUAL
 

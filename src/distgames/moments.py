@@ -34,10 +34,14 @@ def delta_b(s: Sequence, b) -> FiniteSequence:
     t = _exactify(s)
     if len(t) < 2:
         raise errors.TooShort("need at least two entries to difference")
+    return _difference(t, Fraction(b))
+
+
+def _difference(t: FiniteSequence, b: Fraction) -> FiniteSequence:
+    """delta_b on an exact sequence, without the checks."""
     if b == 1:      # skip the products, which double the cost
         return tuple(u - v for v, u in zip(t, t[1:]))
-    bf = Fraction(b)
-    return tuple(u - bf * v for v, u in zip(t, t[1:]))
+    return tuple(u - b * v for v, u in zip(t, t[1:]))
 
 
 def _triangle_violation(s: Sequence, b, signed: bool) -> Optional[Tuple[int, int]]:
@@ -48,6 +52,7 @@ def _triangle_violation(s: Sequence, b, signed: bool) -> Optional[Tuple[int, int
     covering every n, k with n + k < len(s).  None means no violation.
     """
     row = _exactify(s)
+    bf = Fraction(b)
     k = 0
     while True:
         sign = -1 if (signed and k % 2 == 1) else 1
@@ -56,7 +61,7 @@ def _triangle_violation(s: Sequence, b, signed: bool) -> Optional[Tuple[int, int
                 return (n, k)
         if len(row) == 1:
             return None
-        row = delta_b(row, b)
+        row = _difference(row, bf)
         k += 1
 
 

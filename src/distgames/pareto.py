@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import errors
-from ._numeric import all_exact, csv_cell
+from ._numeric import all_exact, csv_cell, reject_non_finite
 from .dist import as_partition, segment_expectations
 from .game_core import (
     BimatrixGame,
@@ -38,10 +38,11 @@ def new_weight_vector(w: Sequence) -> tuple:
 
     Exact inputs normalize in exact arithmetic so unit weights stay
     exact, which keeps scalarization with a unit vector identical to a
-    coordinate projection.
+    coordinate projection.  A NaN or infinite float raises ValueError.
     """
     if len(w) == 0:
         raise errors.WeightsNotSimplex("empty weight vector")
+    reject_non_finite(w)
     if any(v < 0 for v in w):
         raise errors.WeightsNotSimplex("weights must be non-negative")
     total = sum(w)
@@ -99,18 +100,14 @@ def segment_game(G: DistributionBimatrixGame, I) -> VectorBimatrixGame:
             stacklevel=2,
         )
 
-    def neg_vec(P) -> tuple:
-        return tuple(-e for e in segment_expectations(P, part))
+    def vectors(M, sign: int) -> tuple:
+        # a branch, not sign * e: a Fraction product costs a gcd
+        return tuple(tuple(v if sign > 0 else tuple(-e for e in v)
+                           for v in (segment_expectations(P, part)
+                                     for P in row)) for row in M)
 
-    def pos_vec(P) -> tuple:
-        return tuple(segment_expectations(P, part))
-
-    A = tuple(tuple(neg_vec(cell) for cell in row) for row in G.A)
-    if G.zero_sum:
-        B = tuple(tuple(pos_vec(cell) for cell in row) for row in G.B)
-    else:
-        B = tuple(tuple(neg_vec(cell) for cell in row) for row in G.B)
-    return new_vector_game(A, B, part.num_segments)
+    B = vectors(G.B, 1 if G.zero_sum else -1)
+    return new_vector_game(vectors(G.A, -1), B, part.num_segments)
 
 
 def scalarize(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> BimatrixGame:
@@ -122,14 +119,8 @@ def scalarize(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> BimatrixGame
         raise errors.DimensionMismatch(
             f"weights of length {len(u1)}/{len(u2)} for a dim-{G.dim} game"
         )
-    A = tuple(
-        tuple(sum(c * w for c, w in zip(cell, u1)) for cell in row)
-        for row in G.A
-    )
-    B = tuple(
-        tuple(sum(c * w for c, w in zip(cell, u2)) for cell in row)
-        for row in G.B
-    )
+    A, B = (tuple(tuple(sum(c * w for c, w in zip(cell, u)) for cell in row)
+                  for row in M) for M, u in ((G.A, u1), (G.B, u2)))
     return BimatrixGame(A, B, negates(A, B))
 
 

@@ -123,12 +123,8 @@ def check_subgame_condition(G: VectorBimatrixGame, p: MixedProfile) -> bool:
         raise errors.NotTopCoordinateEquilibrium(
             "profile is not an equilibrium of the top-coordinate game"
         )
-    T1 = tuple(i for i, w in enumerate(p.x) if w > 0)
-    T2 = tuple(j for j, w in enumerate(p.y) if w > 0)
-    t = new_profile(
-        tuple(p.x[i] for i in T1),
-        tuple(p.y[j] for j in T2),
-    )
+    T1, T2 = (tuple(i for i, w in enumerate(v) if w > 0) for v in (p.x, p.y))
+    t = new_profile(*(tuple(w for w in v if w > 0) for v in (p.x, p.y)))
     for i in range(G.dim - 1):
         restricted = subgame(projection(G, i), T1, T2)
         if not is_epsilon_equilibrium(restricted, t, 0):

@@ -13,7 +13,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import errors
-from ._numeric import all_exact, is_exact, scale_to_integers
+from ._numeric import (all_exact, is_exact, reject_non_finite,
+                       scale_to_integers)
 from .game_core import (BimatrixGame, MixedProfile, pure_payoffs, shape,
                         some_deviation_beats)
 
@@ -58,35 +59,31 @@ class FPRecord:
     payoff1: float
 
 
+def _best_responses(G: BimatrixGame) -> tuple:
+    """Pure best-response tables (R, C): R[i][j] says row i is a best
+    response to column j (A[i][j] is maximal in column j of A), C[i][j]
+    says column j is a best response to row i (B[i][j] is maximal in row
+    i of B).  Floats compare exactly, as binary rationals."""
+    top = [max(col) for col in zip(*G.A)]
+    R = [[a >= t for a, t in zip(row, top)] for row in G.A]
+    C = [[b >= t for b in row] for row, t in zip(G.B, map(max, G.B))]
+    return R, C
+
+
 def pure_equilibria(G: BimatrixGame) -> List[Tuple[int, int]]:
     """Cells (i, j) with A[i][j] maximal in column j and B[i][j] maximal
     in row i, in row-major order."""
-    n1, n2 = shape(G)
-    A, B = G.A, G.B
-    out = []
-    for i in range(n1):
-        for j in range(n2):
-            if all(A[i][j] >= A[r][j] for r in range(n1)) and \
-               all(B[i][j] >= B[i][c] for c in range(n2)):
-                out.append((i, j))
-    return out
+    R, C = _best_responses(G)
+    return [(i, j) for i, (r, c) in enumerate(zip(R, C))
+            for j, (a, b) in enumerate(zip(r, c)) if a and b]
 
 
 def dominant_solution(G: BimatrixGame) -> Optional[Tuple[int, int]]:
     """Profile of weakly dominant strategies for both players, if both
     exist.  Lowest indices win ties."""
-    n1, n2 = shape(G)
-    A, B = G.A, G.B
-    row = next(
-        (i for i in range(n1)
-         if all(A[i][j] >= A[r][j] for r in range(n1) for j in range(n2))),
-        None,
-    )
-    col = next(
-        (j for j in range(n2)
-         if all(B[i][j] >= B[i][c] for c in range(n2) for i in range(n1))),
-        None,
-    )
+    R, C = _best_responses(G)
+    row = next((i for i, r in enumerate(R) if all(r)), None)
+    col = next((j for j, c in enumerate(zip(*C)) if all(c)), None)
     if row is None or col is None:
         return None
     return (row, col)
@@ -215,13 +212,13 @@ def support_enumeration(G: BimatrixGame) -> SolveOutcome:
                     Fraction(_score(Bt[J[0]], I, wx), dx * sb))
     reports = []
     for (x, y), payoffs in seen.items():
-        supp_x = tuple(i for i, w in enumerate(x) if w > 0)
-        supp_y = tuple(j for j, w in enumerate(y) if w > 0)
+        supports = tuple(tuple(i for i, w in enumerate(v) if w > 0)
+                         for v in (x, y))
         reports.append(EquilibriumReport(
             profile=MixedProfile(x, y),
-            supports=(supp_x, supp_y),
+            supports=supports,
             payoffs=payoffs,
-            pure=(len(supp_x) == 1 and len(supp_y) == 1),
+            pure=all(len(s) == 1 for s in supports),
         ))
     reports.sort(key=lambda r: (len(r.supports[0]), r.supports[0],
                                 r.supports[1], r.profile.x, r.profile.y))
@@ -271,13 +268,11 @@ def fictitious_play(G: BimatrixGame, rounds: int, seed: int | None = None,
     if record_every < 1:
         raise ValueError("record_every must be positive")
     n1, n2 = shape(G)
-    flat = [v for row in G.A for v in row] + [v for row in G.B for v in row]
-    if all_exact(flat):
+    if all_exact([v for M in (G.A, G.B) for row in M for v in row]):
         ints, scale = scale_to_integers([*G.A, *G.B])
         A, B = ints[:n1], ints[n1:]
     else:
-        A = [[float(v) for v in row] for row in G.A]
-        B = [[float(v) for v in row] for row in G.B]
+        A, B = ([[float(v) for v in row] for row in M] for M in (G.A, G.B))
         scale = 1.0
     if seed is None:
         s, t = 0, 0
@@ -325,8 +320,9 @@ def is_epsilon_equilibrium(G: BimatrixGame, p: MixedProfile, eps) -> bool:
     """True when no pure deviation gains either player more than eps.
 
     Pure deviations suffice because payoffs are affine in each player's
-    own strategy.
+    own strategy.  A NaN or infinite eps raises ValueError.
     """
+    reject_non_finite((eps,))
     def gains(d, u) -> bool:
         return d > u + (Fraction(eps) if is_exact(u) else eps)
     return not some_deviation_beats(G, p, gains)

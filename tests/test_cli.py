@@ -360,6 +360,14 @@ class TestConstructCli:
         assert len(lines) == 4
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "10", "50"]
 
+    def test_alternating_moments_has_no_order_cap_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "alt-moments", "--a", "1", "--b", "2",
+                  "--terms", "2", "--k-cap", "10"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert captured.err == "error: unrecognized arguments: --k-cap 10\n"
+
 
 class TestMomcheckCli:
     def test_interval_violation_is_reported(self, docs, capsys):

@@ -45,6 +45,12 @@ def test_weight_vector_rejects_bad_input():
         dg.new_weight_vector([0, 0])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_weight_vector_rejects_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        dg.new_weight_vector([bad, 1.0])
+
+
 class TestSegmentGame:
     def test_negated_segment_expectations(self):
         G = oracles.saddle_distribution_game()

@@ -302,6 +302,14 @@ class TestEpsilonEquilibrium:
         assert not dg.is_epsilon_equilibrium(rps, p, F(1, 2))
         assert dg.is_epsilon_equilibrium(rps, p, 1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        G = dg.new_bimatrix([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]])
+        p = dg.pure_profile(0, 0, 2, 2)
+        assert not dg.is_epsilon_equilibrium(G, p, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.is_epsilon_equilibrium(G, p, eps)
+
     def test_support_payoffs_equal_at_equilibria(self, rps):
         # every pure strategy inside the support earns the mixed payoff
         for G in (rps, TWO_PURE):
