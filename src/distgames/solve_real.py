@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import ge
 from typing import List, Optional, Sequence, Tuple
 
 from . import errors
@@ -64,9 +65,9 @@ def _best_responses(G: BimatrixGame) -> tuple:
     response to column j (A[i][j] is maximal in column j of A), C[i][j]
     says column j is a best response to row i (B[i][j] is maximal in row
     i of B).  Floats compare exactly, as binary rationals."""
-    top = [max(col) for col in zip(*G.A)]
-    R = [[a >= t for a, t in zip(row, top)] for row in G.A]
-    C = [[b >= t for b in row] for row, t in zip(G.B, map(max, G.B))]
+    top = list(map(max, zip(*G.A)))
+    R = [list(map(ge, row, top)) for row in G.A]
+    C = [list(map(ge, row, repeat(max(row)))) for row in G.B]
     return R, C
 
 
@@ -323,6 +324,7 @@ def is_epsilon_equilibrium(G: BimatrixGame, p: MixedProfile, eps) -> bool:
     own strategy.  A NaN or infinite eps raises ValueError.
     """
     reject_non_finite((eps,))
+
     def gains(d, u) -> bool:
         return d > u + (Fraction(eps) if is_exact(u) else eps)
     return not some_deviation_beats(G, p, gains)
