@@ -107,6 +107,12 @@ CASES = {
                                "--b", "2", "--terms", "3"], 0),
     "construct-alt-moments-csv": (["construct", "alt-moments", "--a", "1",
                                    "--b", "2", "--terms", "3", "--csv"], 0),
+    "construct-alt-moments-initial-atoms": (
+        ["construct", "alt-moments", "--a", "1/3", "--b", "7/3", "--terms",
+         "4", "--x1", "1/2", "--y1", "2/3"], 0),
+    "construct-alt-moments-from-zero-csv": (
+        ["construct", "alt-moments", "--a", "0", "--b", "3/2", "--terms", "4",
+         "--csv"], 0),
     "momcheck-cm": (["momcheck", "--seq", "@seq-cm", "--condition", "cm"], 0),
     "momcheck-interval": (["momcheck", "--seq", "@seq-interval",
                            "--condition", "interval", "--b", "2"], 0),
