@@ -9,8 +9,10 @@ truncation never silently weakens a verified inequality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from . import errors
@@ -160,43 +162,33 @@ def shift_construction(atoms: Sequence, masses: Sequence, bound_b):
     if sum(f) > 1:
         raise errors.MassSumNotOne("masses exceed total probability 1")
 
+    # 0-based term m is the construction's term m + 1: s[m] moves to
+    # the midpoint t[m] and keeps c[m] of its mass.
     N = len(s)
-    terms = list(range(1, N))          # construction indices with a known successor
-    t = {i: (s[i - 1] + s[i]) / 2 for i in terms}
-    c = {}
-    for i in terms:
-        c[i] = max(s[i - 1] / t[i], 1 - Fraction(1, 2 ** i), f[i] / f[i - 1])
-    g = {i: c[i] * f[i - 1] for i in terms}
-    t0 = (1 + s[0]) / 2
-    g0 = sum((1 - c[i]) * f[i - 1] for i in terms)
+    t = [(s1 + s2) / 2 for s1, s2 in zip(s, s[1:])]
+    bounds = [(s[m] / t[m], 1 - Fraction(1, 2 ** (m + 1)), f[m + 1] / f[m])
+              for m in range(N - 1)]
+    c = [max(lb) for lb in bounds]
+    # R[m] = sum of (1 - c_j) f(s_j) over j >= m, one suffix sum; R[N-1] = 0
+    R = list(accumulate(reversed([(1 - cm) * fm for cm, fm in zip(c, f)]),
+                        initial=0))[::-1]
 
-    out_atoms = [t0] + [t[i] for i in terms]
-    out_masses = [g0] + [g[i] for i in terms]
+    out_atoms = [(1 + s[0]) / 2] + t
+    out_masses = [R[0]] + [cm * fm for cm, fm in zip(c, f)]
     tail = 1 - sum(out_masses)
     shifted = new_truncated_sequence(out_atoms, out_masses, tail, b)
 
-    # Rigorous cdf facts.  Writing R_k for the residual sum of
-    # (1 - c_i) f(s_i) over i >= k, the shifted cdf G satisfies
+    # Rigorous cdf facts.  The shifted cdf G satisfies
     # G(t_k) - F(t_k) = R_{k+1} and G(s_k) - F(s_k) = R_k - f(s_k).
     # R_{k+1} > 0 is certified by any computed positive term; the
     # unknown part of R_k is bounded by the 2^{-i} mass floors.
-    certs = []
-    for i in terms:
-        residual_known = sum((1 - c[j]) * f[j - 1] for j in terms if j >= i)
-        residual_cap = residual_known + Fraction(1, 2 ** (N - 1)) * f[N - 1]
-        above = None
-        if i < N - 1:
-            above = sum((1 - c[j]) * f[j - 1] for j in terms if j > i) > 0
-        certs.append(ShiftTermCertificate(
-            term=i,
-            c=c[i],
-            atom_ratio=s[i - 1] / t[i],
-            mass_floor=1 - Fraction(1, 2 ** i),
-            mass_ratio=f[i] / f[i - 1],
-            first_moment_ok=c[i] * t[i] >= s[i - 1],
-            cdf_above_shifted=above,
-            cdf_below_original=residual_cap < f[i - 1],
-        ))
+    cap = Fraction(1, 2 ** (N - 1)) * f[N - 1]
+    certs = [ShiftTermCertificate(
+        m + 1, c[m], *bounds[m],
+        first_moment_ok=c[m] * t[m] >= s[m],
+        cdf_above_shifted=R[m + 1] > 0 if m < N - 2 else None,
+        cdf_below_original=R[m] + cap < f[m],
+    ) for m in range(N - 1)]
     return shifted, tuple(certs)
 
 
@@ -236,6 +228,8 @@ def _sequence_to_positions(S: TruncatedAtomSequence) -> Optional[List[Fraction]]
     out: List[Fraction] = []
     l = 1
     for a, m in zip(S.atoms, S.masses):
+        if m >= Fraction(2, 2 ** l):
+            return None     # all blocks from position l on hold only 2^{1-l}
         rem = m
         while rem > 0:
             rem -= Fraction(1, 2 ** l)
@@ -248,28 +242,37 @@ def _sequence_to_positions(S: TruncatedAtomSequence) -> Optional[List[Fraction]]
     return out
 
 
-def _winner_lower(w: List[Fraction], n: int, new_atom: Fraction, k: int) -> Fraction:
-    """Lower bound on the winner's k-th moment: known prefix plus the
-    whole remaining mass at the newest atom."""
-    total = sum(Fraction(1, 2 ** l) * w[l - 1] ** k for l in range(1, n + 1))
-    return total + Fraction(1, 2 ** n) * new_atom ** k
+def _dyadic_sum(powers: List[int], tail: int) -> int:
+    """sum of 2^{n-l} powers[l-1] over l = 1..n, plus tail, for
+    n = len(powers): 2^n times a moment with mass 2^{-l} at position l
+    and the remaining 2^{-n} behind tail."""
+    acc = 0
+    for p in powers:
+        acc = 2 * acc + p
+    return acc + tail
 
 
-def _loser_upper(v: List[Fraction], n: int, b: Fraction, k: int) -> Fraction:
-    """Upper bound on the loser's k-th moment: known prefix, the
-    duplicated atom at position n+1, everything later pushed to b."""
-    total = sum(Fraction(1, 2 ** l) * v[l - 1] ** k for l in range(1, n + 1))
-    return total + Fraction(1, 2 ** (n + 1)) * v[n - 1] ** k \
-        + Fraction(1, 2 ** (n + 1)) * b ** k
+def _moment_bound(head: List[Fraction], tail_atom: Fraction, k: int) -> Fraction:
+    """Exact k-th moment with mass 2^{-l} at head[l-1] and the remaining
+    2^{-len(head)} at tail_atom.
+
+    The winner's lower bound is _moment_bound(w, new_atom, k): its
+    future atoms all sit at or above the newest one.  The loser's upper
+    bound is _moment_bound(v + v[-1:], b, k): its next position repeats
+    its last atom and everything later is pushed to b.
+    """
+    (H, (T,)), d = scale_to_integers([head, [tail_atom]])
+    return Fraction(_dyadic_sum([h ** k for h in H], T ** k),
+                    2 ** len(head) * d ** k)
 
 
-def _search_k(w: List[Fraction], v: List[Fraction], n: int, b: Fraction,
+def _search_k(w: List[Fraction], v: List[Fraction], b: Fraction,
               k_start: int) -> int:
     """Smallest k >= k_start where the winner's bound beats the loser's
     even if the winner's new atom were pushed all the way to b.
 
-    Scaled to integers on a common denominator so the scan is pure int
-    arithmetic with incrementally updated powers.
+    Both bounds are scaled to integers on a common denominator, so the
+    scan is pure int arithmetic with incrementally updated powers.
     """
     (W, V, (Bi,)), _ = scale_to_integers([w, v, [b]])
     k = k_start
@@ -277,49 +280,35 @@ def _search_k(w: List[Fraction], v: List[Fraction], n: int, b: Fraction,
     pv = [x ** k for x in V]
     pb = Bi ** k
     while k <= _K_CAP:
-        lhs = sum(2 ** (n + 1 - l) * pv[l - 1] for l in range(1, n + 1)) \
-            + pv[n - 1] + pb
-        rhs = sum(2 ** (n + 1 - l) * pw[l - 1] for l in range(1, n + 1)) \
-            + 2 * pb
-        if lhs < rhs:
+        # the loser's head is one position longer: double the winner's
+        if _dyadic_sum(pv + pv[-1:], pb) < 2 * _dyadic_sum(pw, pb):
             return k
         k += 1
-        for idx in range(n):
-            pw[idx] *= W[idx]
-            pv[idx] *= V[idx]
+        pw = [p * x for p, x in zip(pw, W)]
+        pv = [p * x for p, x in zip(pv, V)]
         pb *= Bi
     raise errors.SearchBudgetExceeded(
         f"no moment order up to {_K_CAP} separates the bounds"
     )
 
 
-def _bisect_new_atom(w: List[Fraction], v: List[Fraction], n: int,
-                     b: Fraction, k: int) -> Optional[Fraction]:
-    """Shrink the winner's new atom down from b while its lower bound
-    still strictly beats the loser's upper bound at order k.
+def _new_atom(w: List[Fraction], upper: Fraction, b: Fraction,
+              k: int) -> Optional[Fraction]:
+    """Smallest point c = lo + (b - lo) j / 2^60, 0 < j < 2^60, of the
+    grid above the winner's last atom lo at which the winner's lower
+    bound at order k strictly beats upper, the loser's upper bound.
 
-    60 bisection steps, keeping the smallest atom seen to work; any
-    valid choice strictly inside (last winner atom, b) is acceptable.
-    None when even 60 steps never left the bound itself, which means
-    the order k was too tight a fit.
+    The lower bound is the winner's prefix plus 2^{-n} c^k, so c must
+    satisfy c^k > gap.  None when no grid point below b does, which
+    means the order k was too tight a fit.
     """
-    upper = _loser_upper(v, n, b, k)
-    prefix = sum(Fraction(1, 2 ** l) * w[l - 1] ** k for l in range(1, n + 1))
-    gap = (upper - prefix) * 2 ** n
-    lo, hi = w[-1], b
-    if gap <= 0:
-        # any atom above the winner's last works; take the bisection floor
-        return lo + (b - lo) / 2 ** 60
-    # valid(c) means c^k > gap, compared in integers to avoid
-    # normalizing giant intermediate fractions
-    gn, gd = gap.numerator, gap.denominator
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if mid.numerator ** k * gd > gn * mid.denominator ** k:
-            hi = mid
-        else:
-            lo = mid
-    return hi if hi < b else None
+    gap = (upper - _moment_bound(w, Fraction(0), k)) * 2 ** len(w)
+    ((lo, hi),), d = scale_to_integers([[w[-1], b]])
+    den = d << 60
+    rhs = gap.numerator * den ** k
+    j = bisect_left(range(1 << 60), True, 1, key=lambda j: (
+        ((lo << 60) + (hi - lo) * j) ** k * gap.denominator > rhs))
+    return None if j == 1 << 60 else Fraction((lo << 60) + (hi - lo) * j, den)
 
 
 def alternating_moment_pair(a, b, N: int, x1=None, y1=None):
@@ -345,37 +334,33 @@ def alternating_moment_pair(a, b, N: int, x1=None, y1=None):
     if N < 1:
         raise ValueError("need N >= 1")
 
-    xs = [x0]
-    ys = [y0]
+    xs, ys = [x0], [y0]
     k_prev = 0
-    k_list: List[int] = []
-    dirs: List[str] = []
-    checks: List[tuple] = []
+    k_list, dirs, checks = [], [], []
     for step in range(2, N + 1):
-        n = step - 1
         if step % 2 == 0:
             w, v, dname = xs, ys, X_ABOVE_Y
         else:
             w, v, dname = ys, xs, Y_ABOVE_X
-        k_min = _search_k(w, v, n, bf, k_prev + 1)
+        k_min = _search_k(w, v, bf, k_prev + 1)
         # At the minimal order the whole valid atom range hugs b, which
         # makes the next step's order explode.  Doubling the order puts
         # the bound term firmly in charge, so the new atom can sit a
         # healthy distance below b and later orders grow geometrically
         # instead.
-        k = _search_k(w, v, n, bf, 2 * k_min)
+        k = _search_k(w, v, bf, 2 * k_min)
         while True:
-            c = _bisect_new_atom(w, v, n, bf, k)
+            upper = _moment_bound(v + v[-1:], bf, k)
+            c = _new_atom(w, upper, bf, k)
             if c is not None:
                 break
             # threshold hugged the bound; a larger order widens the gap
-            k = _search_k(w, v, n, bf, k + 1)
+            k = _search_k(w, v, bf, k + 1)
+        checks.append((_moment_bound(w, c, k), upper))
         v.append(v[-1])
         w.append(c)
         k_list.append(k)
         dirs.append(dname)
-        checks.append((_winner_lower(w[:-1], n, c, k),
-                       _loser_upper(v[:-1], n, bf, k)))
         k_prev = k
     cert = AlternationCertificate(tuple(k_list), tuple(dirs), tuple(checks))
     return (_positions_to_sequence(xs, bf), _positions_to_sequence(ys, bf), cert)
@@ -388,44 +373,33 @@ def verify_alternation_certificate(x: TruncatedAtomSequence,
 
     Expands both sequences back to position form, rebuilds each step's
     winner-lower and loser-upper bound at the certified order, and
-    demands strict separation plus the structural facts the bounds rely
-    on (duplicated loser atom, nondecreasing positions, strictly
-    increasing orders).  False on any failure.
+    demands that they equal the certificate's bound_checks and are
+    strictly separated, plus the structural facts the bounds rely on
+    (duplicated loser atom, nondecreasing positions, strictly increasing
+    integer orders from 1 up).  False on any failure.
     """
     X = _sequence_to_positions(x)
     Y = _sequence_to_positions(y)
-    if X is None or Y is None or len(X) != len(Y):
-        return False
-    if x.bound_b != y.bound_b:
+    if X is None or Y is None or len(X) != len(Y) or x.bound_b != y.bound_b:
         return False
     b = x.bound_b
-    N = len(X)
-    if any(p >= b for p in X + Y):
+    if any(p >= b for p in X + Y) or \
+       any(p2 < p1 for P in (X, Y) for p1, p2 in zip(P, P[1:])):
         return False
-    if any(p2 < p1 for p1, p2 in zip(X, X[1:])) or \
-       any(p2 < p1 for p1, p2 in zip(Y, Y[1:])):
+    ks, dirs = cert.k_indices, cert.directions
+    if not len(ks) == len(dirs) == len(cert.bound_checks) == len(X) - 1:
         return False
-    ks = cert.k_indices
-    if len(ks) != N - 1 or len(cert.directions) != N - 1:
+    if any(type(k) is not int or k < 1 for k in ks) or \
+       any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         return False
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        return False
-    for idx in range(N - 1):
-        n = idx + 1
-        d = cert.directions[idx]
-        if d == X_ABOVE_Y:
-            W, V = X, Y
-        elif d == Y_ABOVE_X:
-            W, V = Y, X
-        else:
+    for n, (k, d, pair) in enumerate(zip(ks, dirs, cert.bound_checks), 1):
+        if d not in (X_ABOVE_Y, Y_ABOVE_X) or (n > 1 and dirs[n - 2] == d):
             return False
-        if idx > 0 and cert.directions[idx - 1] == d:
-            return False
+        W, V = (X, Y) if d == X_ABOVE_Y else (Y, X)
         if V[n] != V[n - 1]:
             return False
-        k = ks[idx]
-        lower = _winner_lower(W[:n], n, W[n], k)
-        upper = _loser_upper(V[:n], n, b, k)
-        if not lower > upper:
+        lower = _moment_bound(W[:n], W[n], k)
+        upper = _moment_bound(V[:n + 1], b, k)
+        if not (lower > upper and pair == (lower, upper)):
             return False
     return True

@@ -100,14 +100,17 @@ def segment_game(G: DistributionBimatrixGame, I) -> VectorBimatrixGame:
             stacklevel=2,
         )
 
-    def vectors(M, sign: int) -> tuple:
-        # a branch, not sign * e: a Fraction product costs a gcd
-        return tuple(tuple(v if sign > 0 else tuple(-e for e in v)
-                           for v in (segment_expectations(P, part)
-                                     for P in row)) for row in M)
+    def expectations(M) -> tuple:
+        return tuple(tuple(segment_expectations(P, part) for P in row)
+                     for row in M)
 
-    B = vectors(G.B, 1 if G.zero_sum else -1)
-    return new_vector_game(vectors(G.A, -1), B, part.num_segments)
+    def negated(E) -> tuple:
+        return tuple(tuple(tuple(-e for e in v) for v in row) for row in E)
+
+    # a zero-sum B holds A's distributions: its vectors are A's, unnegated
+    EA = expectations(G.A)
+    B = EA if G.zero_sum else negated(expectations(G.B))
+    return new_vector_game(negated(EA), B, part.num_segments)
 
 
 def scalarize(G: VectorBimatrixGame, w1: Sequence, w2: Sequence) -> BimatrixGame:

@@ -8,10 +8,12 @@ no matter where the unassigned tail sits.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import distgames as dg
 from distgames import errors
-from distgames.construct import X_ABOVE_Y, Y_ABOVE_X
+from distgames.construct import X_ABOVE_Y, Y_ABOVE_X, AlternationCertificate
 
 
 def canonical_shift_input():
@@ -213,3 +215,129 @@ class TestAlternatingMomentPair:
     def test_initial_atom_outside_range_rejected(self):
         with pytest.raises(ValueError):
             dg.alternating_moment_pair(1, 2, 2, x1=2)
+
+
+class TestVerifierReadsTheCertificate:
+    """verify_alternation_certificate checks the printed bounds and the
+    orders themselves, not only the sequences."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        return dg.alternating_moment_pair(1, 2, 4)
+
+    @staticmethod
+    def replaced(cert, **fields):
+        from dataclasses import replace
+
+        return replace(cert, **fields)
+
+    def test_untouched_certificate_verifies(self, built):
+        assert dg.verify_alternation_certificate(*built)
+
+    def test_swapped_bound_pairs_rejected(self, built):
+        x, y, cert = built
+        swapped = tuple((up, lo) for lo, up in cert.bound_checks)
+        bad = self.replaced(cert, bound_checks=swapped)
+        assert not dg.verify_alternation_certificate(x, y, bad)
+
+    def test_one_garbage_pair_for_three_orders_rejected(self, built):
+        x, y, cert = built
+        bad = self.replaced(cert, bound_checks=((0, 1),))
+        assert not dg.verify_alternation_certificate(x, y, bad)
+
+    def test_pair_off_by_a_little_rejected(self, built):
+        x, y, cert = built
+        (lo, up), *rest = cert.bound_checks
+        bad = self.replaced(cert, bound_checks=((lo + F(1, 10 ** 9), up),
+                                                *rest))
+        assert not dg.verify_alternation_certificate(x, y, bad)
+
+    def test_float_order_rejected(self, built):
+        x, y, cert = built
+        ks = (float(cert.k_indices[0]),) + cert.k_indices[1:]
+        bad = self.replaced(cert, k_indices=ks)
+        assert not dg.verify_alternation_certificate(x, y, bad)
+
+    def test_negative_order_rejected(self, built):
+        x, y, cert = built
+        ks = (-cert.k_indices[0],) + cert.k_indices[1:]
+        bad = self.replaced(cert, k_indices=ks)
+        assert not dg.verify_alternation_certificate(x, y, bad)
+
+
+class TestVerifierOnArbitrarySequences:
+    """A sequence whose masses are not consecutive dyadic blocks is no
+    alternation pair: the answer is False, at once."""
+
+    @staticmethod
+    def empty_certificate():
+        return AlternationCertificate((), (), ())
+
+    def test_whole_mass_on_one_atom(self):
+        S = dg.new_truncated_sequence([1], [1], 0, 2)
+        y = dg.alternating_moment_pair(1, 2, 1)[1]
+        assert dg.verify_alternation_certificate(S, y,
+                                                 self.empty_certificate()) \
+            is False
+
+    def test_first_mass_above_one_half(self):
+        S = dg.new_truncated_sequence([1, F(3, 2)], [F(3, 4), F(1, 4)], 0, 2)
+        assert dg.verify_alternation_certificate(S, S,
+                                                 self.empty_certificate()) \
+            is False
+
+
+@st.composite
+def truncated_sequence(draw, b):
+    """Atoms in [0, b), masses either consecutive dyadic blocks (as the
+    alternating construction writes them) or arbitrary positive weights."""
+    n = draw(st.integers(1, 4))
+    atoms = sorted(draw(st.sets(st.fractions(0, b, max_denominator=6),
+                                min_size=n, max_size=n).filter(
+                                    lambda a: b not in a)))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        ends = [sum(sizes[:i + 1]) for i in range(n)]
+        masses = [F(1, 2 ** (e - s)) - F(1, 2 ** e) for s, e in zip(sizes, ends)]
+        tail = F(1, 2 ** ends[-1])
+    else:
+        w = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        rest = draw(st.integers(0, 9))
+        masses = [F(v, sum(w) + rest) for v in w]
+        tail = F(rest, sum(w) + rest)
+    return dg.new_truncated_sequence(atoms, masses, tail, b)
+
+
+BUILT = [dg.alternating_moment_pair(1, 2, 3),
+         dg.alternating_moment_pair(0, F(3, 2), 3, x1=F(1, 3))]
+
+
+@st.composite
+def sequences_and_certificate(draw):
+    """Arbitrary sequences with an arbitrary certificate, or a built pair
+    whose certificate fields are each kept or redrawn."""
+    if draw(st.booleans()):
+        x, y, cert = draw(st.sampled_from(BUILT))
+        m = len(cert.k_indices)
+    else:
+        b = draw(st.sampled_from([F(3, 2), 2, F(7, 3)]))
+        x = draw(truncated_sequence(b))
+        y = draw(truncated_sequence(b))
+        m = draw(st.integers(0, 4))
+        cert = None
+    fields = [
+        st.lists(st.integers(-2, 40), min_size=m, max_size=m),
+        st.lists(st.sampled_from([X_ABOVE_Y, Y_ABOVE_X, "sideways"]),
+                 min_size=m, max_size=m),
+        st.lists(st.tuples(st.fractions(0, 9), st.fractions(0, 9)),
+                 min_size=m, max_size=m),
+    ]
+    if cert is not None:
+        kept = (cert.k_indices, cert.directions, cert.bound_checks)
+        fields = [st.one_of(st.just(v), f) for v, f in zip(kept, fields)]
+    return x, y, AlternationCertificate(*(tuple(draw(f)) for f in fields))
+
+
+@given(sequences_and_certificate())
+def test_verifier_answers_a_bool_on_any_sequences(case):
+    assert type(dg.verify_alternation_certificate(*case)) is bool

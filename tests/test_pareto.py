@@ -70,6 +70,28 @@ class TestSegmentGame:
         with pytest.warns(UserWarning):
             dg.segment_game(G, (0, 2))
 
+    @pytest.mark.parametrize("zero_sum, per_cell", [(True, 1), (False, 2)])
+    def test_segment_expectations_once_per_cell(self, monkeypatch, zero_sum,
+                                                per_cell):
+        # a zero-sum B holds A's distributions, so only A's are segmented
+        from distgames import pareto
+
+        calls = []
+
+        def counted(P, I):
+            calls.append(P)
+            return dg.segment_expectations(P, I)
+
+        monkeypatch.setattr(pareto, "segment_expectations", counted)
+        A = oracles.saddle_distribution_game().A
+        A = [list(row) + [dg.dirac(3)] for row in A]    # 2x3: n1 != n2
+        B = None if zero_sum else [list(reversed(row)) for row in A]
+        G = dg.new_distribution_game(A, B, zero_sum=zero_sum)
+        S = dg.segment_game(G, (0, 2, 4))
+        assert len(calls) == per_cell * 2 * 3
+        assert (S.B == tuple(tuple(tuple(-e for e in v) for v in row)
+                             for row in S.A)) == zero_sum
+
 
 class TestScalarize:
     def test_unit_top_weight_equals_projection(self):
