@@ -229,7 +229,7 @@ def _sequence_to_positions(S: TruncatedAtomSequence) -> Optional[List[Fraction]]
     l = 1
     for a, m in zip(S.atoms, S.masses):
         if m >= Fraction(2, 2 ** l):
-            return None     # all blocks from position l on hold only 2^{1-l}
+            return None     # positions l, l+1, ... hold 2^{1-l} in all
         rem = m
         while rem > 0:
             rem -= Fraction(1, 2 ** l)
@@ -298,11 +298,12 @@ def _new_atom(w: List[Fraction], upper: Fraction, b: Fraction,
     grid above the winner's last atom lo at which the winner's lower
     bound at order k strictly beats upper, the loser's upper bound.
 
-    The lower bound is the winner's prefix plus 2^{-n} c^k, so c must
-    satisfy c^k > gap.  None when no grid point below b does, which
-    means the order k was too tight a fit.
+    With n = len(w) the lower bound is the winner's prefix plus
+    2^{-n} c^k, so c must satisfy c^k > gap = 2^n (upper - prefix).
+    None when no grid point below b does, which means the order k was
+    too tight a fit.
     """
-    gap = (upper - _moment_bound(w, Fraction(0), k)) * 2 ** len(w)
+    gap = (upper - _moment_bound(w, 0, k)) * 2 ** len(w)
     ((lo, hi),), d = scale_to_integers([[w[-1], b]])
     den = d << 60
     rhs = gap.numerator * den ** k
