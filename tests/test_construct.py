@@ -5,6 +5,7 @@ and bound, so each assertion here is an interval statement that holds
 no matter where the unassigned tail sits.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -225,40 +226,33 @@ class TestVerifierReadsTheCertificate:
     def built(self):
         return dg.alternating_moment_pair(1, 2, 4)
 
-    @staticmethod
-    def replaced(cert, **fields):
-        from dataclasses import replace
-
-        return replace(cert, **fields)
-
     def test_swapped_bound_pairs_rejected(self, built):
         x, y, cert = built
         swapped = tuple((up, lo) for lo, up in cert.bound_checks)
-        bad = self.replaced(cert, bound_checks=swapped)
+        bad = replace(cert, bound_checks=swapped)
         assert not dg.verify_alternation_certificate(x, y, bad)
 
     def test_one_garbage_pair_for_three_orders_rejected(self, built):
         x, y, cert = built
-        bad = self.replaced(cert, bound_checks=((0, 1),))
+        bad = replace(cert, bound_checks=((0, 1),))
         assert not dg.verify_alternation_certificate(x, y, bad)
 
     def test_pair_off_by_a_little_rejected(self, built):
         x, y, cert = built
         (lo, up), *rest = cert.bound_checks
-        bad = self.replaced(cert, bound_checks=((lo + F(1, 10 ** 9), up),
-                                                *rest))
+        bad = replace(cert, bound_checks=((lo + F(1, 10 ** 9), up), *rest))
         assert not dg.verify_alternation_certificate(x, y, bad)
 
     def test_float_order_rejected(self, built):
         x, y, cert = built
         ks = (float(cert.k_indices[0]),) + cert.k_indices[1:]
-        bad = self.replaced(cert, k_indices=ks)
+        bad = replace(cert, k_indices=ks)
         assert not dg.verify_alternation_certificate(x, y, bad)
 
     def test_negative_order_rejected(self, built):
         x, y, cert = built
         ks = (-cert.k_indices[0],) + cert.k_indices[1:]
-        bad = self.replaced(cert, k_indices=ks)
+        bad = replace(cert, k_indices=ks)
         assert not dg.verify_alternation_certificate(x, y, bad)
 
 
@@ -266,22 +260,16 @@ class TestVerifierOnArbitrarySequences:
     """A sequence whose masses are not consecutive dyadic blocks is no
     alternation pair: the answer is False, at once."""
 
-    @staticmethod
-    def empty_certificate():
-        return AlternationCertificate((), (), ())
+    EMPTY = AlternationCertificate((), (), ())
 
     def test_whole_mass_on_one_atom(self):
         S = dg.new_truncated_sequence([1], [1], 0, 2)
         y = dg.alternating_moment_pair(1, 2, 1)[1]
-        assert dg.verify_alternation_certificate(S, y,
-                                                 self.empty_certificate()) \
-            is False
+        assert dg.verify_alternation_certificate(S, y, self.EMPTY) is False
 
     def test_first_mass_above_one_half(self):
         S = dg.new_truncated_sequence([1, F(3, 2)], [F(3, 4), F(1, 4)], 0, 2)
-        assert dg.verify_alternation_certificate(S, S,
-                                                 self.empty_certificate()) \
-            is False
+        assert dg.verify_alternation_certificate(S, S, self.EMPTY) is False
 
 
 @st.composite
